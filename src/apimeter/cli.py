@@ -109,6 +109,9 @@ def load_config(path: str | Path) -> RunConfig:
     min_lib_files = thresholds.get("min_lib_files", clientprep.DEFAULT_MIN_LIB_FILES)
     if min_lib_files < 1:
         raise ConfigError(f"min_lib_files must be >= 1: {min_lib_files}")
+    file_cap_bytes = thresholds.get("file_cap_bytes", scan.DEFAULT_FILE_CAP_BYTES)
+    if type(file_cap_bytes) is not int or file_cap_bytes < 1:
+        raise ConfigError(f"file_cap_bytes must be a positive integer: {file_cap_bytes!r}")
     return RunConfig(
         library_specs=specs,
         dependency_db=resolve(doc.get("dependency_db")),
@@ -116,7 +119,7 @@ def load_config(path: str | Path) -> RunConfig:
         output_dir=resolve(doc.get("output_dir", "out")),
         overlap_threshold=overlap,
         min_lib_files=min_lib_files,
-        file_cap_bytes=thresholds.get("file_cap_bytes", scan.DEFAULT_FILE_CAP_BYTES),
+        file_cap_bytes=file_cap_bytes,
         paper_faithful=flags.get("paper_faithful", False),
         loose_call_match=flags.get("loose_call_match", False),
     )
@@ -239,7 +242,9 @@ def _scan_one(
     catalog: ApiCatalog,
     config: RunConfig,
     collect_sites: bool,
-) -> tuple[clientprep.ClientRecord, scan.UsageReport]:
+) -> tuple[clientprep.ClientRecord, scan.UsageReport, list[dict]]:
+    """Prepare and scan one client; its diagnostics come back as events so
+    the caller can replay them in client order, whichever process ran it."""
     diag = Diagnostics()
     rec = clientprep.prepare_client(
         entry.client,
@@ -251,7 +256,7 @@ def _scan_one(
         diag=diag,
     )
     report = scan.scan_client(rec, catalog, config.scan_options(collect_sites), diag)
-    return rec, report
+    return rec, report, diag.events
 
 
 def cmd_scan(config: RunConfig, library: str, diag: Diagnostics, collect_sites: bool = False) -> int:
@@ -273,7 +278,7 @@ def cmd_scan(config: RunConfig, library: str, diag: Diagnostics, collect_sites: 
             skipped.append(entry.client)
             diag.emit("client_missing", client=entry.client, expected=str(root))
 
-    results: list[tuple[clientprep.ClientRecord, scan.UsageReport]] = []
+    results: list[tuple[clientprep.ClientRecord, scan.UsageReport, list[dict]]] = []
     if config.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             futures = [
@@ -288,7 +293,9 @@ def cmd_scan(config: RunConfig, library: str, diag: Diagnostics, collect_sites: 
         ]
 
     out_dir = Path(config.output_dir)
-    for rec, report in results:
+    for rec, report, events in results:
+        for event in events:
+            diag.emit(**event)
         slug = _slug(rec.client_id)
         _write_json(out_dir / f"prep_{_slug(library)}_{slug}.json", clientprep.prep_report_dict(rec))
         payload = usage_report_dict(report)
@@ -299,7 +306,7 @@ def cmd_scan(config: RunConfig, library: str, diag: Diagnostics, collect_sites: 
             sites_path.write_text("".join(line + "\n" for line in listing))
         _write_json(out_dir / f"usage_{_slug(library)}_{slug}.json", payload)
 
-    agg = scan.aggregate_reports(library, len(catalog.apis), [r for _, r in results])
+    agg = scan.aggregate_reports(library, len(catalog.apis), [r for _, r, _ in results])
     _write_json(corpus_path(config, library), corpus_dict(agg, skipped))
     print(
         f"{library}: scanned {len(results)} clients"
@@ -494,8 +501,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         config = RunConfig(library_specs=[], dependency_db=None, clients_root=None, output_dir="out")
     if args.output:
         config.output_dir = args.output
-    if args.jobs and args.jobs > 1:
-        config.jobs = args.jobs
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1: {args.jobs}")
+    config.jobs = args.jobs
     if args.paper_faithful:
         config.paper_faithful = True
     if args.loose_call_match:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .catalog import ApiCatalog, with_annotation
+from .catalog import ApiCatalog, ApiSymbol, with_annotation
 from .diagnostics import Diagnostics
 from .errors import FileSetMismatchError, MalformedDirectiveError
 
@@ -216,9 +216,10 @@ def annotate_catalog_coverage(
             if name in catalog.apis:
                 candidates.setdefault(name, []).append((path, start, end))
 
+    # Start from bare symbols: a rerun must not keep a previous run's annotation.
     annotated = ApiCatalog(
         library=catalog.library,
-        apis=dict(catalog.apis),
+        apis={name: ApiSymbol(name=name) for name in catalog.apis},
         created_at=catalog.created_at,
         provenance=dict(catalog.provenance),
     )
@@ -237,7 +238,7 @@ def annotate_catalog_coverage(
                 others=[m[0] for m in measured[1:]],
             )
         path, start, end, eloc, covered = measured[0]
-        annotated.apis[name] = with_annotation(catalog.apis[name], path, start, end, eloc, covered)
+        annotated.apis[name] = with_annotation(annotated.apis[name], path, start, end, eloc, covered)
     return annotated
 
 

@@ -1,18 +1,18 @@
 """Lexical usage scanning of C/C++ sources.
 
-Finds call expressions of catalog APIs without preprocessing or parsing:
-comments are blanked by a string-aware state machine, string/char literal
-contents are masked, and a use is a token-boundary API name followed by at
-most one (non-newline) whitespace and an opening parenthesis. Uses inside
-macro bodies and #ifdef regions count — under some build configuration they
-are real calls.
+Finds call expressions of catalog APIs without preprocessing or parsing.
+One compiled tokenizer finds comments and string/char literals (raw
+strings included) in a single pass over each file and blanks them, keeping
+newlines so line numbers and columns survive. A use is a token-boundary API
+name followed by at most one (non-newline) whitespace and an opening
+parenthesis. Uses inside macro bodies and #ifdef regions count — under some
+build configuration they are real calls.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -24,7 +24,6 @@ from .diagnostics import Diagnostics
 DEFAULT_FILE_CAP_BYTES = 16 * 1024 * 1024
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_IDENT_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
 # One optional whitespace between name and '(' — never a newline, matching
 # a line-oriented search.
 _STRICT_GAP = frozenset(" \t\f\v\r")
@@ -77,109 +76,53 @@ class CorpusAggregate:
 
 # --- comment / string lexing -------------------------------------------------
 
-CODE = "code"
-COMMENT = "comment"
-STRING = "string"
+# One token is a comment or a string/char literal; everything between tokens
+# is code. Every alternative starts with a literal '/', '"' or "'", so the
+# regex engine skips plain code by its first character.
+_TOKEN = re.compile(
+    r"""
+    //[^\n\\]*(?:\\+[^\\][^\n\\]*)*\\*          # line comment; backslashes before a newline continue it
+  | /\*[^*]*(?:\*+[^*/][^*]*)*(?:\*+/?)?        # block comment; an unterminated one runs to end of text
+  | "(?:(?<=R")(?<![A-Za-z0-9_]R")              # raw string: R, [uUL]R or u8R starting a token,
+      |(?<=[uUL]R")(?<![A-Za-z0-9_][uUL]R")
+      |(?<=u8R")(?<![A-Za-z0-9_]u8R"))
+    (?P<d>[^()\\\s]{0,16})\((?:.*?\)(?P=d)"|.*) # then d(...)d; an unclosed one runs to end of text
+  | "[^"\\\n]*(?:\\.[^"\\\n]*)*(?:"|\\)?        # string literal; an unescaped newline ends it
+  | '[^'\\\n]*(?:\\.[^'\\\n]*)*(?:'|\\)?        # char literal, likewise
+    """,
+    re.S | re.X,
+)
 
 
-def _lex_regions(text: str) -> Iterator[tuple[str, int, int]]:
-    """Yield (kind, start, end) spans: code, comment, or string/char literal.
+def _spaces(token: str) -> str:
+    if "\n" not in token:
+        return " " * len(token)
+    return "\n".join(" " * len(line) for line in token.split("\n"))
 
-    Handles // (with backslash-newline continuation), /* */, "..." and '...'
-    with escapes, and raw strings R"delim(...)delim". An unescaped newline
-    terminates an unterminated ordinary literal rather than swallowing the
-    rest of the file.
+
+def blank_comments_and_strings(
+    source: str,
+    diag: Diagnostics | None = None,
+    *,
+    comments: bool = True,
+    strings: bool = True,
+) -> str:
+    """Blank every non-newline character of comments and/or literals.
+
+    One pass of the tokenizer; line count and the columns of surviving code
+    are preserved. An unterminated block comment blanks through end of text
+    and emits a diagnostic.
     """
-    n = len(text)
-    i = 0
-    start = 0
 
-    def flush(upto: int, kind: str) -> Iterator[tuple[str, int, int]]:
-        nonlocal start
-        if upto > start:
-            yield (kind, start, upto)
-        start = upto
+    def blank(m: re.Match) -> str:
+        token = m.group()
+        if token[0] != "/":
+            return _spaces(token) if strings else token
+        if diag is not None and token[1] == "*" and (len(token) < 4 or not token.endswith("*/")):
+            diag.emit("unterminated_block_comment", at_line=source.count("\n", 0, m.start()) + 1)
+        return _spaces(token) if comments else token
 
-    while i < n:
-        c = text[i]
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            yield from flush(i, CODE)
-            i += 2
-            while i < n:
-                if text[i] == "\\" and i + 1 < n and text[i + 1] == "\n":
-                    i += 2
-                    continue
-                if text[i] == "\n":
-                    break
-                i += 1
-            yield from flush(i, COMMENT)
-            continue
-        if c == "/" and i + 1 < n and text[i + 1] == "*":
-            yield from flush(i, CODE)
-            close = text.find("*/", i + 2)
-            i = n if close < 0 else close + 2
-            yield from flush(i, COMMENT)
-            continue
-        if c == '"':
-            j = i - 1
-            if j >= 0 and text[j] == "R" and _raw_prefix_ok(text, j):
-                delim_end = text.find("(", i + 1)
-                if 0 <= delim_end <= i + 17 and _RAW_DELIM.fullmatch(text[i + 1 : delim_end]):
-                    closer = ")" + text[i + 1 : delim_end] + '"'
-                    close = text.find(closer, delim_end + 1)
-                    end = n if close < 0 else close + len(closer)
-                    yield from flush(i, CODE)
-                    i = end
-                    yield from flush(i, STRING)
-                    continue
-            yield from flush(i, CODE)
-            i = _scan_quoted(text, i + 1, '"')
-            yield from flush(i, STRING)
-            continue
-        if c == "'":
-            yield from flush(i, CODE)
-            i = _scan_quoted(text, i + 1, "'")
-            yield from flush(i, STRING)
-            continue
-        i += 1
-    yield from flush(n, CODE)
-
-
-_RAW_DELIM = re.compile(r"[^()\\\s]{0,16}")
-
-
-def _raw_prefix_ok(text: str, r_index: int) -> bool:
-    # R, with its optional u8/u/U/L encoding prefix, must start a token.
-    k = r_index - 1
-    if k >= 1 and text[k] == "8" and text[k - 1] == "u":
-        k -= 2
-    elif k >= 0 and text[k] in "uUL":
-        k -= 1
-    return k < 0 or text[k] not in _IDENT_CHARS
-
-
-def _scan_quoted(text: str, i: int, quote: str) -> int:
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\\" and i + 1 < n:
-            i += 2
-            continue
-        if c == quote:
-            return i + 1
-        if c == "\n":
-            return i  # unterminated literal: recover at end of line
-        i += 1
-    return n
-
-
-def _blank(text: str, spans: Iterable[tuple[int, int]]) -> str:
-    chars = list(text)
-    for s, e in spans:
-        for i in range(s, e):
-            if chars[i] != "\n":
-                chars[i] = " "
-    return "".join(chars)
+    return _TOKEN.sub(blank, source)
 
 
 def strip_comments(source: str, diag: Diagnostics | None = None) -> str:
@@ -188,14 +131,7 @@ def strip_comments(source: str, diag: Diagnostics | None = None) -> str:
     Comment markers inside string literals are protected; an unterminated
     block comment blanks through end of file with a diagnostic.
     """
-    spans = []
-    for kind, s, e in _lex_regions(source):
-        if kind == COMMENT:
-            spans.append((s, e))
-            terminated = e - s >= 4 and source.startswith("*/", e - 2)
-            if source.startswith("/*", s) and not terminated and diag:
-                diag.emit("unterminated_block_comment", at_line=source.count("\n", 0, s) + 1)
-    return _blank(source, spans)
+    return blank_comments_and_strings(source, diag, strings=False)
 
 
 def strip_comment_lines(source: str) -> str:
@@ -212,26 +148,19 @@ def strip_comment_lines(source: str) -> str:
 
 def mask_string_literals(source: str) -> str:
     """Blank string/char literal contents (delimiters included)."""
-    spans = [(s, e) for kind, s, e in _lex_regions(source) if kind == STRING]
-    return _blank(source, spans)
+    return blank_comments_and_strings(source, comments=False)
 
 
 # --- call-site matching -------------------------------------------------------
 
 
-def _line_starts(text: str) -> list[int]:
-    starts = [0]
-    for i, c in enumerate(text):
-        if c == "\n":
-            starts.append(i + 1)
-    return starts
-
-
-def _match_calls(text: str, api_names: frozenset[str] | set[str], loose: bool) -> Iterator[tuple[str, int]]:
-    """Yield (api, line) for every call-shaped occurrence. `text` must
-    already be comment-stripped and string-masked."""
-    starts = _line_starts(text)
+def _match_calls(
+    text: str, api_names: frozenset[str] | set[str], loose: bool, with_lines: bool = True
+) -> Iterator[tuple[str, int]]:
+    """Yield (api, line) for every call-shaped occurrence; line is 0 unless
+    `with_lines`. `text` must already be comment-stripped and string-masked."""
     n = len(text)
+    line, counted = (1 if with_lines else 0), 0
     for m in _IDENT.finditer(text):
         name = m.group()
         if name not in api_names:
@@ -243,7 +172,11 @@ def _match_calls(text: str, api_names: frozenset[str] | set[str], loose: bool) -
         elif j < n and text[j] in _STRICT_GAP:
             j += 1
         if j < n and text[j] == "(":
-            yield name, bisect_right(starts, m.start())
+            if with_lines:
+                start = m.start()
+                line += text.count("\n", counted, start)
+                counted = start
+            yield name, line
 
 
 def find_api_uses(source: str, api: str, loose: bool = False) -> list[int]:
@@ -278,11 +211,10 @@ def scan_sources(
     sites: list[UseSite] = []
     for rel_path, text in files:
         if options.paper_faithful:
-            prepared = strip_comment_lines(text)
+            prepared = mask_string_literals(strip_comment_lines(text))
         else:
-            prepared = strip_comments(text, diag)
-        prepared = mask_string_literals(prepared)
-        for api, line in _match_calls(prepared, api_names, options.loose_call_match):
+            prepared = blank_comments_and_strings(text, diag)
+        for api, line in _match_calls(prepared, api_names, options.loose_call_match, options.collect_sites):
             uses[api] = uses.get(api, 0) + 1
             if options.collect_sites:
                 sites.append(UseSite(file=rel_path, line=line, api=api))

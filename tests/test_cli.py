@@ -125,6 +125,37 @@ def test_scan_parallel_jobs_match_serial(workspace):
     assert (out / "usage_tinykv_corpus.json").read_text() == serial
 
 
+def test_scan_diagnostics_reach_stderr_same_for_jobs(workspace, capsys):
+    cfg, out = workspace
+    main(["catalog", "--config", str(cfg)])
+    capsys.readouterr()
+    main(["scan", "--config", str(cfg), "--library", "tinykv"])
+    serial = capsys.readouterr().err
+    events = [json.loads(line)["event"] for line in serial.splitlines()]
+    assert events.count("client_prepared") == 3
+    assert events.count("dir_excluded") == 2
+    assert events.count("file_excluded") == 1
+    main(["scan", "--config", str(cfg), "--library", "tinykv", "--jobs", "2"])
+    assert capsys.readouterr().err == serial
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_scan_rejects_non_positive_jobs(workspace, capsys, jobs):
+    cfg, _ = workspace
+    assert main(["scan", "--config", str(cfg), "--library", "tinykv", "--jobs", jobs]) == 1
+    assert f"--jobs must be >= 1: {jobs}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", [0, -5, 1.5, "16M", True])
+def test_config_rejects_bad_file_cap(workspace, capsys, cap):
+    cfg, _ = workspace
+    doc = json.loads(cfg.read_text())
+    doc["thresholds"] = {"file_cap_bytes": cap}
+    cfg.write_text(json.dumps(doc))
+    assert main(["scan", "--config", str(cfg), "--library", "tinykv"]) == 1
+    assert f"file_cap_bytes must be a positive integer: {cap!r}" in capsys.readouterr().err
+
+
 def test_scan_sites_listing(workspace):
     cfg, out = workspace
     main(["catalog", "--config", str(cfg)])

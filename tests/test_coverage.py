@@ -120,6 +120,17 @@ def test_annotate_does_not_mutate_input(golden_catalog):
     assert all(a.eloc is None for a in golden_catalog.apis.values())
 
 
+def test_reannotate_clears_apis_absent_from_new_tracefile():
+    first = parse_tracefile("SF:a.c\nFN:3,4,f\nFN:6,7,g\nDA:3,1\nDA:4,0\nDA:6,1\nend_of_record")
+    second = parse_tracefile("SF:a.c\nFN:3,4,f\nDA:3,1\nDA:4,1\nend_of_record")
+    once = annotate_catalog_coverage(make_catalog(["f", "g"]), first)
+    assert once.apis["g"].eloc == 1
+    again = annotate_catalog_coverage(once, second)
+    g = again.apis["g"]
+    assert (g.defining_file, g.entry_start, g.entry_end, g.eloc, g.covered_lines) == (None,) * 5
+    assert (again.apis["f"].eloc, again.apis["f"].covered_lines) == (2, 2)
+
+
 def test_merge_sums_counts():
     a = parse_tracefile("SF:x.c\nDA:3,1\nend_of_record")
     b = parse_tracefile("SF:x.c\nDA:3,0\nDA:4,2\nend_of_record")
