@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .diagnostics import Diagnostics
 from .elf import exported_text_symbols
-from .errors import EmptyCatalogError, EmptyHeaderSetError, SchemaVersionError
+from .errors import EmptyCatalogError, EmptyHeaderSetError, InputFileError, SchemaVersionError
 
 SCHEMA_VERSION = "1.0"
 
@@ -191,7 +191,13 @@ def save_catalog(catalog: ApiCatalog, path: str | Path) -> Path:
 
 
 def load_catalog(path: str | Path) -> ApiCatalog:
-    return catalog_from_dict(json.loads(Path(path).read_text()))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+        return catalog_from_dict(doc)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise InputFileError(f"cannot load catalog {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def check_schema_version(doc: dict, kind: str) -> None:

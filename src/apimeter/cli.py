@@ -11,7 +11,6 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +28,7 @@ from .errors import (
     ApimeterError,
     ConfigError,
     DependencyDbError,
+    InputFileError,
     MalformedDirectiveError,
     MissingCatalogError,
     MissingInputsError,
@@ -127,18 +127,24 @@ def load_config(path: str | Path) -> RunConfig:
 
 def load_dependency_db(path: str | Path) -> list[DependencyEntry]:
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
         raise DependencyDbError(f"cannot read dependency db {path}: {exc}") from exc
+    if not isinstance(doc, list):
+        raise DependencyDbError(f"dependency db {path}: expected a list of entries, got {type(doc).__name__}")
     entries = []
     seen = set()
-    for item in doc:
+    for i, item in enumerate(doc):
+        if not isinstance(item, dict) or "client" not in item or "library" not in item:
+            raise DependencyDbError(
+                f"dependency db {path}: entry {i} needs \"client\" and \"library\": {item!r}"
+            )
         entry = DependencyEntry(
             client=item["client"], source=item.get("source", ""), library=item["library"]
         )
         key = (entry.client, entry.library)
         if key in seen:
-            raise DependencyDbError(f"duplicate (client, library) pair: {key}")
+            raise DependencyDbError(f"dependency db {path}: duplicate (client, library) pair: {key}")
         seen.add(key)
         entries.append(entry)
     return entries
@@ -280,6 +286,9 @@ def cmd_scan(config: RunConfig, library: str, diag: Diagnostics, collect_sites: 
 
     results: list[tuple[clientprep.ClientRecord, scan.UsageReport, list[dict]]] = []
     if config.jobs > 1 and len(jobs) > 1:
+        # Imported here: it loads multiprocessing, which no other stage needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             futures = [
                 pool.submit(_scan_one, entry, root, spec, inv, catalog, config, collect_sites)
@@ -330,7 +339,11 @@ def cmd_coverage(
 
     def parse_path(p: str) -> coverage.Tracefile:
         try:
-            tf = coverage.parse_tracefile(Path(p).read_text(), diag)
+            text = Path(p).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputFileError(f"cannot read tracefile {p}: {exc}") from exc
+        try:
+            tf = coverage.parse_tracefile(text, diag)
         except MalformedDirectiveError as exc:
             raise MalformedDirectiveError(exc.message, exc.line_number, source=p) from exc
         return coverage.filter_tracefile(tf, tcov_excludes or [])
@@ -513,6 +526,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"overlap threshold out of range: {args.overlap_threshold}")
         config.overlap_threshold = args.overlap_threshold
     if args.min_lib_files is not None:
+        if args.min_lib_files < 1:
+            raise ConfigError(f"--min-lib-files must be >= 1: {args.min_lib_files}")
         config.min_lib_files = args.min_lib_files
     return config
 

@@ -77,3 +77,7 @@ class SchemaVersionError(ApimeterError):
 
 class ConfigError(ApimeterError):
     """Run configuration is invalid or references missing paths."""
+
+
+class InputFileError(ApimeterError):
+    """An input file or artifact cannot be read, decoded or parsed; names the file."""

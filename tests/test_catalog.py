@@ -14,7 +14,7 @@ from apimeter.catalog import (
     load_catalog,
     save_catalog,
 )
-from apimeter.errors import EmptyCatalogError, EmptyHeaderSetError, SchemaVersionError
+from apimeter.errors import EmptyCatalogError, EmptyHeaderSetError, InputFileError, SchemaVersionError
 
 
 def test_harvest_tokenizes_declaration(tmp_path):
@@ -111,6 +111,27 @@ def test_catalog_round_trip_and_schema(tmp_path, golden_catalog):
     doc["schema_version"] = "2.0"
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaVersionError):
+        load_catalog(path)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda text: text[: len(text) // 2],
+        lambda text: "not json",
+        lambda text: "",
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "apis"}),
+        lambda text: json.dumps({**json.loads(text), "apis": [{"eloc": 3}]}),
+        lambda text: json.dumps({**json.loads(text), "apis": ["tk_open"]}),
+        lambda text: json.dumps([json.loads(text)]),
+    ],
+    ids=["truncated", "not_json", "empty", "no_apis", "api_without_name", "api_not_object", "list"],
+)
+def test_load_catalog_damaged_file_names_it(tmp_path, golden_catalog, damage):
+    path = tmp_path / "catalog.json"
+    save_catalog(golden_catalog, path)
+    path.write_text(damage(path.read_text()))
+    with pytest.raises(InputFileError, match=f"cannot load catalog {path}"):
         load_catalog(path)
 
 

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from apimeter.cli import load_dependency_db, main
+import apimeter
 from apimeter.errors import DependencyDbError
 from conftest import GOLDEN, synth_golden_so
 
@@ -154,6 +159,22 @@ def test_config_rejects_bad_file_cap(workspace, capsys, cap):
     cfg.write_text(json.dumps(doc))
     assert main(["scan", "--config", str(cfg), "--library", "tinykv"]) == 1
     assert f"file_cap_bytes must be a positive integer: {cap!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_scan_rejects_non_positive_min_lib_files(workspace, capsys, value):
+    cfg, _ = workspace
+    main(["catalog", "--config", str(cfg)])
+    assert main(["scan", "--config", str(cfg), "--library", "tinykv", "--min-lib-files", value]) == 1
+    assert f"--min-lib-files must be >= 1: {value}" in capsys.readouterr().err
+
+
+def test_import_leaves_process_pool_unloaded():
+    src = str(Path(apimeter.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, apimeter.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_scan_sites_listing(workspace):
@@ -398,6 +419,49 @@ def test_coverage_parse_error_has_file_and_line(workspace, tmp_path, capsys):
     assert "bad.info" in err and "line 2" in err
 
 
+def _bad_tracefile(tmp_path, kind):
+    if kind == "missing":
+        return tmp_path / "missing.info"
+    if kind == "directory":
+        path = tmp_path / "dir.info"
+        path.mkdir()
+        return path
+    path = tmp_path / "latin1.info"
+    path.write_bytes(b"SF:caf\xe9.c\nDA:1,1\nend_of_record\n")
+    return path
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+@pytest.mark.parametrize("role", ["positional", "--baseline", "--augmented"])
+def test_coverage_unreadable_tracefile_names_it(workspace, tmp_path, capsys, kind, role):
+    cfg, _ = workspace
+    main(["catalog", "--config", str(cfg)])
+    bad = str(_bad_tracefile(tmp_path, kind))
+    good = str(GOLDEN / "tracefile_library.info")
+    args = ["coverage", "--config", str(cfg), "--library", "tinykv"]
+    if role == "positional":
+        args.append(bad)
+    else:
+        paths = {"--baseline": good, "--augmented": good, role: bad}
+        args += ["--baseline", paths["--baseline"], "--augmented", paths["--augmented"]]
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot read tracefile {bad}" in err
+    assert "InputFileError" in err
+
+
+def test_coverage_on_truncated_catalog_names_it(workspace, capsys):
+    cfg, out = workspace
+    main(["catalog", "--config", str(cfg)])
+    catalog = out / "catalog_tinykv.json"
+    catalog.write_text(catalog.read_text()[:100])
+    capsys.readouterr()
+    good = str(GOLDEN / "tracefile_library.info")
+    assert main(["coverage", "--config", str(cfg), "--library", "tinykv", good]) == 1
+    assert f"error: cannot load catalog {catalog}: JSONDecodeError" in capsys.readouterr().err
+
+
 def test_report_on_empty_corpus_is_valid(workspace, tmp_path):
     cfg, out = workspace
     db = tmp_path / "empty_db.json"
@@ -426,6 +490,35 @@ def test_dependency_db_rejects_duplicates(tmp_path):
     )
     with pytest.raises(DependencyDbError):
         load_dependency_db(db)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [{"source": "s", "library": "l"}],
+        [{"client": "a", "source": "s"}],
+        [{"client": "a", "library": "l"}, "b"],
+        {"client": "a", "library": "l"},
+        "clients",
+    ],
+)
+def test_dependency_db_rejects_malformed_entries(tmp_path, doc):
+    db = tmp_path / "db.json"
+    db.write_text(json.dumps(doc))
+    with pytest.raises(DependencyDbError, match=f"dependency db {db}"):
+        load_dependency_db(db)
+
+
+def test_scan_with_malformed_dependency_db_exits_1(workspace, tmp_path, capsys):
+    cfg, _ = workspace
+    db = tmp_path / "db.json"
+    db.write_text(json.dumps([{"library": "tinykv"}]))
+    doc = json.loads(cfg.read_text())
+    doc["dependency_db"] = str(db)
+    cfg.write_text(json.dumps(doc))
+    main(["catalog", "--config", str(cfg)])
+    assert main(["scan", "--config", str(cfg), "--library", "tinykv"]) == 1
+    assert f"dependency db {db}: entry 0 needs" in capsys.readouterr().err
 
 
 def test_unknown_library_is_fatal(workspace, capsys):

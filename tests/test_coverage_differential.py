@@ -1,0 +1,258 @@
+"""The coverage module against the frozen reference implementation.
+
+Every public step the CLI runs is compared on the same input: parsing
+(records, function order, line counts, diagnostics, or the exact error),
+merging, median selection, function extents, catalog annotation (including
+`ambiguous_function` events) and the baseline/augmented delta, whose report
+fields must be equal, floats included.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_coverage as ref
+from apimeter import coverage as new
+from apimeter.catalog import catalog_to_dict
+from apimeter.diagnostics import Diagnostics
+from conftest import make_catalog
+
+MAX = new.MAX_COUNT
+
+
+def _shape(tf):
+    return [
+        (fc.path, [(f.name, f.start, f.end) for f in fc.functions], list(fc.line_counts.items()))
+        for fc in tf.records
+    ]
+
+
+def _outcome(fn, *args):
+    """(result, error, events) of fn(*args, diag); error compares class, text and line."""
+    diag = Diagnostics()
+    try:
+        return fn(*args, diag), None, diag.events
+    except Exception as exc:  # noqa: BLE001 - the class itself is compared
+        return None, (type(exc), str(exc), getattr(exc, "line_number", None)), diag.events
+
+
+def _parse_both(text):
+    want, want_err, want_events = _outcome(ref.parse_tracefile, text)
+    got, got_err, got_events = _outcome(new.parse_tracefile, text)
+    assert got_err == want_err
+    assert got_events == want_events
+    if want is not None:
+        assert _shape(got) == _shape(want)
+    return want, got
+
+
+def _delta_both(want_pair, got_pair, names):
+    want, want_err, want_events = _outcome(ref.coverage_delta, *want_pair, make_catalog(names))
+    got, got_err, got_events = _outcome(new.coverage_delta, *got_pair, make_catalog(names))
+    assert got_err == want_err
+    assert got_events == want_events
+    if want is not None:
+        assert vars(got) == vars(want)
+
+
+def _annotate_both(want_tf, got_tf, names):
+    want_diag, got_diag = Diagnostics(), Diagnostics()
+    want = ref.annotate_catalog_coverage(make_catalog(names), want_tf, want_diag)
+    got = new.annotate_catalog_coverage(make_catalog(names), got_tf, got_diag)
+    assert catalog_to_dict(got) == catalog_to_dict(want)
+    assert got_diag.events == want_diag.events
+    # A rerun over an already-annotated catalog starts from bare symbols.
+    again_want = ref.annotate_catalog_coverage(want, want_tf)
+    again_got = new.annotate_catalog_coverage(got, got_tf)
+    assert catalog_to_dict(again_got) == catalog_to_dict(again_want)
+
+
+def _assert_same(texts):
+    parsed = [_parse_both(t) for t in texts]
+    runs = [(w, g) for w, g in parsed if w is not None]
+    if not runs:
+        return
+    wants = [w for w, _ in runs]
+    gots = [g for _, g in runs]
+    names = sorted({f.name for tf in wants for fc in tf.records for f in fc.functions} | {"absent"})
+
+    for want, got in runs:
+        assert new.function_extents(got) == ref.function_extents(want)
+
+    before = [_shape(g) for g in gots]
+    merged_want, merged_got = ref.merge_tracefiles(wants), new.merge_tracefiles(gots)
+    assert _shape(merged_got) == _shape(merged_want)
+    assert [_shape(g) for g in gots] == before, "merge must not modify its inputs"
+    assert new.function_extents(merged_got) == ref.function_extents(merged_want)
+
+    median_want, median_got = ref.select_median_run(wants), new.select_median_run(gots)
+    assert gots.index(median_got) == wants.index(median_want)
+
+    _annotate_both(merged_want, merged_got, names)
+    _annotate_both(median_want, median_got, names)
+
+    _delta_both((wants[0], wants[-1]), (gots[0], gots[-1]), names)
+    _delta_both((wants[-1], wants[0]), (gots[-1], gots[0]), names)
+    _delta_both((ref.Tracefile(), wants[0]), (new.Tracefile(), gots[0]), names)
+    _delta_both((wants[0], wants[0]), (gots[0], gots[0]), names)
+
+
+EDGE_CASES = [
+    # repeated SF blocks for one path, interleaved with another file
+    "SF:a.c\nFN:1,f\nDA:1,1\nend_of_record\nSF:b.c\nDA:1,1\nend_of_record\n"
+    "SF:a.c\nFN:4,g\nDA:1,2\nDA:2,0\nDA:4,0\nend_of_record",
+    # a repeated FN with and without an end line, in either order
+    "SF:a.c\nFN:3,f\nFN:3,9,f\nFN:3,7,f\nFN:3,f\nDA:3,1\nDA:12,0\nend_of_record",
+    "SF:a.c\nFN:3,9,f\nFN:3,f\nFN:3,12,f\nDA:3,1\nDA:10,1\nend_of_record",
+    "SF:a.c\nFN:3,f\nend_of_record\nSF:a.c\nFN:3,6,f\nFN:8,g\nDA:3,1\nDA:9,1\nend_of_record",
+    # one name at two starts in one file: the later start owns the name
+    "SF:a.c\nFN:3,f\nFN:8,f\nDA:3,1\nDA:8,0\nDA:9,1\nend_of_record",
+    # functions without any DA line
+    "SF:a.c\nFN:5,f\nFN:9,12,g\nend_of_record",
+    "SF:a.c\nFN:5,f\nend_of_record\nSF:b.c\nFN:1,f\nDA:1,0\nend_of_record",
+    # DA lines without functions, and an end line before the start line
+    "SF:a.c\nDA:1,1\nDA:7,0\nend_of_record",
+    "SF:a.c\nFN:5,3,f\nDA:3,1\nDA:5,1\nend_of_record",
+    # overlapping explicit extents, and heuristic extents around them
+    "SF:a.c\nFN:3,11,f\nFN:10,20,g\nFN:15,h\nFN:30,k\n"
+    + "".join(f"DA:{n},{n % 3}\n" for n in range(1, 35))
+    + "end_of_record",
+    # one name in several files: ties on ELOC fall to the smallest path
+    "SF:b.c\nFN:1,2,f\nDA:1,1\nDA:2,0\nend_of_record\nSF:a.c\nFN:1,2,f\nDA:1,0\nDA:2,0\n"
+    "end_of_record\nSF:c.c\nFN:4,5,f\nDA:4,1\nDA:5,1\nend_of_record",
+    "SF:b.c\nFN:1,3,f\nDA:1,1\nDA:2,1\nDA:3,1\nend_of_record\nSF:a.c\nFN:1,2,f\nDA:1,1\nDA:2,1\n"
+    "end_of_record\nSF:c.c\nFN:1,9,f\nDA:1,0\nDA:2,0\nDA:3,0\nend_of_record",
+    # an API defined in several files with zero ELOC everywhere
+    "SF:z.c\nFN:1,f\nend_of_record\nSF:y.c\nFN:2,f\nend_of_record",
+    # counts above MAX_COUNT, alone and summed
+    f"SF:a.c\nFN:1,f\nDA:1,{MAX}\nDA:1,5\nDA:2,{MAX + 10}\nDA:3,{2**80}\nDA:3,0\nend_of_record",
+    f"SF:a.c\nDA:1,{MAX - 1}\nDA:1,1\nDA:1,1\nend_of_record",
+    # padded lines
+    "  SF:a.c  \n\tFN:1,f \n DA:1,1\t\n DA:2,0 \n  end_of_record  ",
+    "SF:  a.c\nFN:1,  f\nDA: 1 , 2 \nend_of_record",
+    # DA with a checksum, and with more fields
+    "SF:a.c\nFN:1,f\nDA:1,2,abc\nDA:2,0,xyz,extra\nDA:3,1,\nend_of_record",
+    # CRLF line ends, other line boundaries, blank lines
+    "SF:a.c\r\nFN:1,f\r\nDA:1,1\r\nDA:2,0\r\nend_of_record\r\n",
+    "SF:a.c\rFN:1,f\rDA:1,1\x0bDA:2,0\x0cend_of_record ",
+    "\n\nSF:a.c\n\n\nFN:1,f\n\nDA:1,1\n   \n\t\nend_of_record\n\n",
+    # integer spellings int() accepts
+    "SF:a.c\nFN:+1,f\nDA:+1,+1\nDA:1_0,0_1\nDA:٢,٣\nend_of_record",
+    # unknown and ignored directives
+    "SF:a.c\nVERSION:1\nXYZ9:q\nTN:t\nFNF:1\nFNH:1\nLF:2\nLH:1\nBRDA:1,0,0,1\nBRF:1\nBRH:0\n"
+    "FNL:0,1,2\nFNA:0,1,f\nFNDA:1,f\nFN:1,f\nDA:1,1\nend_of_record",
+    "TN:\nSF:a.c\nDA:1,1\nend_of_record\nTN:x\nVERSION:2",
+    # end_of_record without a block, and blocks without end_of_record
+    "end_of_record\nSF:a.c\nDA:1,1\nSF:b.c\nDA:1,0",
+    # every error branch
+    "SF:",
+    "SF:   ",
+    "FN:1,f",
+    "SF:a.c\nFN:x,f",
+    "SF:a.c\nFN:0,f",
+    "SF:a.c\nFN:-2,f",
+    "SF:a.c\nFN:1,x,f",
+    "SF:a.c\nFN:1,0,f",
+    "SF:a.c\nFN:1,2,3,f",
+    "SF:a.c\nFN:1",
+    "SF:a.c\nFN:1,",
+    "SF:a.c\nFN:1,2,",
+    "FNDA:1,f",
+    "SF:a.c\nFNDA:1",
+    "DA:1,1",
+    "SF:a.c\nend_of_record\nDA:1,1",
+    "SF:a.c\nDA:1",
+    "SF:a.c\nDA:",
+    "SF:a.c\nDA:,",
+    "SF:a.c\nDA:x,1",
+    "SF:a.c\nDA:x,y",
+    "SF:a.c\nDA:0,1",
+    "SF:a.c\nDA:0,x",
+    "SF:a.c\nDA:-1,1",
+    "SF:a.c\nDA:1,x",
+    "SF:a.c\nDA:1,-1",
+    "SF:a.c\nDA:1,1.5",
+    "SF:a.c\nDA:1,1\nDA:2,1\nDA:bogus\nend_of_record",
+    "garbage",
+    "lower:x",
+    "A-B:x",
+    ":x",
+    "DA",
+]
+
+_COMPANION = "SF:a.c\nFN:1,3,f\nFN:5,g\nDA:1,1\nDA:2,0\nDA:5,1\nDA:6,0\nend_of_record"
+
+
+@pytest.mark.parametrize("text", EDGE_CASES)
+def test_edge_cases_match_reference(text):
+    _assert_same([text])
+    _assert_same([text, _COMPANION])
+    _assert_same([_COMPANION, text, text])
+
+
+def test_golden_tracefiles_match_reference():
+    from conftest import GOLDEN
+
+    _assert_same([p.read_text() for p in sorted(GOLDEN.glob("*.info"))])
+
+
+# --- generated LCOV text ---------------------------------------------------------
+
+_lines = st.integers(min_value=1, max_value=30)
+_counts = st.one_of(
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([MAX - 1, MAX, MAX + 1]),
+    st.integers(min_value=0, max_value=2**70),
+)
+_names = st.sampled_from(["f", "g", "h", "k"])
+
+_body = st.one_of(
+    st.builds("FN:{},{}".format, _lines, _names),
+    st.builds("FN:{},{},{}".format, _lines, _lines, _names),
+    st.builds("DA:{},{}".format, _lines, _counts),
+    st.builds("DA:{},{}".format, _lines, _counts),
+    st.builds("DA:{},{},{}".format, _lines, _counts, st.sampled_from(["abc", "", "x,y"])),
+    st.builds("FNDA:{},{}".format, _counts, _names),
+    st.sampled_from(["TN:t", "LF:3", "LH:1", "BRDA:1,0,0,1", "FNF:2", "VERSION:2", "", "  "]),
+)
+_malformed = st.sampled_from(
+    ["DA:x,1", "DA:1", "DA:0,1", "DA:1,-1", "DA:1,y", "FN:1,2,3,f", "FN:0,f", "FN:1,0,f",
+     "FN:1,", "FNDA:3", "SF:", "garbage", "lower:case", "end_of_record", "DA:1,1"]
+)
+_pad = st.sampled_from(["", " ", "\t", "  "])
+_eol = st.sampled_from(["\n", "\n", "\r\n"])
+
+
+@st.composite
+def _decorate(draw, lines):
+    return "".join(draw(_pad) + line + draw(_pad) + draw(_eol) for line in lines)
+
+
+@st.composite
+def _blocks(draw, body):
+    out = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        out.append("SF:" + draw(st.sampled_from(["a.c", "b.c", "dir/c.c"])))
+        out += draw(st.lists(body, max_size=12))
+        if draw(st.booleans()) or draw(st.booleans()):
+            out.append("end_of_record")
+    return draw(_decorate(out))
+
+
+_valid_texts = _blocks(_body)
+_any_texts = st.one_of(
+    _blocks(st.one_of(_body, _body, _body, _malformed)),
+    st.lists(st.one_of(_body, _malformed, st.just("SF:a.c")), max_size=12).flatmap(_decorate),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_valid_texts, min_size=1, max_size=3))
+def test_generated_runs_match_reference(texts):
+    _assert_same(texts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_texts)
+def test_generated_text_parses_like_reference(text):
+    _assert_same([text])
