@@ -13,7 +13,6 @@ from .catalog import (
     ApiSymbol,
     LibrarySpec,
     build_catalog,
-    extract_exported_symbols,
     harvest_header_identifiers,
     load_catalog,
     save_catalog,
@@ -52,7 +51,6 @@ from .scan import (
     CorpusAggregate,
     UsageReport,
     UseSite,
-    corpus_scan,
     find_api_uses,
     scan_client,
     strip_comments,
@@ -78,11 +76,9 @@ __all__ = [
     "build_catalog",
     "build_library_inventory",
     "client_utilisation_distribution",
-    "corpus_scan",
     "coverage_buckets",
     "coverage_delta",
     "detect_vendored_dirs",
-    "extract_exported_symbols",
     "find_api_uses",
     "function_extents",
     "harvest_header_identifiers",

@@ -1,0 +1,71 @@
+"""The on-disk format of every stage artifact.
+
+Each JSON artifact carries `schema_version`; a reader accepts the same
+major version only. A write replaces its target in one `os.replace` of a
+sibling temporary file, so a reader never sees half an artifact and a
+failed write leaves the previous one in place. There is no fsync: the
+rename guards against a failed or killed writer, not against power loss.
+A load maps every read, decode or shape failure to a typed error that
+names the file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+import os
+from pathlib import Path
+from typing import Any, Callable, TypeVar
+
+from .errors import ApimeterError, InputFileError, ReportIoError, SchemaVersionError
+
+SCHEMA_VERSION = "1.0"
+
+T = TypeVar("T")
+
+
+def check_schema_version(doc: dict, kind: str) -> None:
+    version = str(doc.get("schema_version", ""))
+    major = version.split(".", 1)[0]
+    ours = SCHEMA_VERSION.split(".", 1)[0]
+    if major != ours:
+        raise SchemaVersionError(f"{kind}: schema_version {version!r} not supported (expected {ours}.x)")
+
+
+def write_text(path: str | Path, text: str) -> Path:
+    """Atomically replace `path` with `text` (UTF-8), creating its directory."""
+    out = Path(path)
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, out)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise ReportIoError(f"cannot write {out}: {exc}") from exc
+    return out
+
+
+def write_json(path: str | Path, payload: dict) -> Path:
+    return write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def load_json(
+    path: str | Path,
+    kind: str,
+    parse: Callable[[Any], T],
+    *,
+    error: type[ApimeterError] = InputFileError,
+    root: type = dict,
+) -> T:
+    """Read, decode and parse one JSON document of type `root`, then return
+    `parse(doc)`. Unreadable, undecodable or malformed input, or a document
+    whose shape `parse` trips over, raises `error` naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(doc, root):
+            raise TypeError(f"expected a JSON {'object' if root is dict else 'list'}, got {type(doc).__name__}")
+        return parse(doc)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise error(f"cannot load {kind} {path}: {type(exc).__name__}: {exc}") from exc

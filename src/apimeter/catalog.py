@@ -11,17 +11,15 @@ add APIs).
 from __future__ import annotations
 
 import datetime
-import json
 import os
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from . import artifacts
 from .diagnostics import Diagnostics
 from .elf import exported_text_symbols
-from .errors import EmptyCatalogError, EmptyHeaderSetError, InputFileError, SchemaVersionError
-
-SCHEMA_VERSION = "1.0"
+from .errors import EmptyCatalogError, EmptyHeaderSetError
 
 HEADER_EXTENSIONS = {".h", ".hh", ".hpp", ".hxx"}
 SOURCE_EXTENSIONS = {".c", ".cc", ".cpp", ".cxx"} | HEADER_EXTENSIONS
@@ -78,15 +76,6 @@ class ApiCatalog:
         return [a for a in self.apis.values() if a.eloc is not None]
 
 
-def extract_exported_symbols(shared_object: str | Path) -> set[str]:
-    """Exported function symbols of one shared object.
-
-    Local symbols, data symbols and undefined references do not qualify;
-    versioned names are normalized to the bare name.
-    """
-    return exported_text_symbols(shared_object)
-
-
 def harvest_header_identifiers(header_root: str | Path) -> set[str]:
     """Every C identifier token in any header under header_root.
 
@@ -116,7 +105,7 @@ def build_catalog(spec: LibrarySpec, diag: Diagnostics | None = None) -> ApiCata
     """
     exported: set[str] = set()
     for so in spec.shared_objects:
-        exported |= extract_exported_symbols(so)
+        exported |= exported_text_symbols(so)
     header_ids = harvest_header_identifiers(spec.header_root)
     api_names = exported & header_ids
     if not api_names:
@@ -145,7 +134,7 @@ def build_catalog(spec: LibrarySpec, diag: Diagnostics | None = None) -> ApiCata
 
 def catalog_to_dict(catalog: ApiCatalog) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": artifacts.SCHEMA_VERSION,
         "library": catalog.library,
         "created_at": catalog.created_at,
         "provenance": catalog.provenance,
@@ -164,7 +153,7 @@ def catalog_to_dict(catalog: ApiCatalog) -> dict:
 
 
 def catalog_from_dict(doc: dict) -> ApiCatalog:
-    check_schema_version(doc, "catalog")
+    artifacts.check_schema_version(doc, "catalog")
     apis = {
         entry["name"]: ApiSymbol(
             name=entry["name"],
@@ -185,27 +174,11 @@ def catalog_from_dict(doc: dict) -> ApiCatalog:
 
 
 def save_catalog(catalog: ApiCatalog, path: str | Path) -> Path:
-    out = Path(path)
-    out.write_text(json.dumps(catalog_to_dict(catalog), indent=2, sort_keys=True) + "\n")
-    return out
+    return artifacts.write_json(path, catalog_to_dict(catalog))
 
 
 def load_catalog(path: str | Path) -> ApiCatalog:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(doc, dict):
-            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
-        return catalog_from_dict(doc)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise InputFileError(f"cannot load catalog {path}: {type(exc).__name__}: {exc}") from exc
-
-
-def check_schema_version(doc: dict, kind: str) -> None:
-    version = str(doc.get("schema_version", ""))
-    major = version.split(".", 1)[0]
-    ours = SCHEMA_VERSION.split(".", 1)[0]
-    if major != ours:
-        raise SchemaVersionError(f"{kind}: schema_version {version!r} not supported (expected {ours}.x)")
+    return artifacts.load_json(path, "catalog", catalog_from_dict)
 
 
 def with_annotation(

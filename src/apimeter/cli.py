@@ -8,21 +8,13 @@ fatal errors do.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import clientprep, coverage, metrics, reports, scan
-from .catalog import (
-    ApiCatalog,
-    LibrarySpec,
-    build_catalog,
-    check_schema_version,
-    load_catalog,
-    save_catalog,
-)
+from . import artifacts, clientprep, coverage, metrics, reports, scan
+from .catalog import ApiCatalog, LibrarySpec, build_catalog, load_catalog, save_catalog
 from .diagnostics import Diagnostics, stderr_diagnostics
 from .errors import (
     ApimeterError,
@@ -33,8 +25,6 @@ from .errors import (
     MissingCatalogError,
     MissingInputsError,
 )
-
-SCHEMA_VERSION = "1.0"
 
 
 @dataclass(frozen=True)
@@ -74,10 +64,6 @@ class RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     cfg_path = Path(path)
-    try:
-        doc = json.loads(cfg_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {cfg_path}: {exc}") from exc
     base = cfg_path.parent
 
     def resolve(p: str | None) -> str | None:
@@ -86,68 +72,64 @@ def load_config(path: str | Path) -> RunConfig:
         candidate = Path(p)
         return str(candidate if candidate.is_absolute() else base / candidate)
 
-    specs = []
-    for lib in doc.get("libraries", []):
-        try:
-            specs.append(
-                LibrarySpec(
-                    name=lib["name"],
-                    shared_objects=tuple(resolve(p) for p in lib["shared_objects"]),
-                    header_root=resolve(lib["header_root"]),
-                    source_roots=tuple(resolve(p) for p in lib.get("source_roots", [])),
-                    explicit_file_excludes=tuple(lib.get("explicit_file_excludes", [])),
-                )
+    def parse(doc: dict) -> RunConfig:
+        specs = [
+            LibrarySpec(
+                name=lib["name"],
+                shared_objects=tuple(resolve(p) for p in lib["shared_objects"]),
+                header_root=resolve(lib["header_root"]),
+                source_roots=tuple(resolve(p) for p in lib.get("source_roots", [])),
+                explicit_file_excludes=tuple(lib.get("explicit_file_excludes", [])),
             )
-        except KeyError as exc:
-            raise ConfigError(f"library entry missing key {exc}") from exc
+            for lib in doc.get("libraries", [])
+        ]
+        thresholds = doc.get("thresholds", {})
+        flags = doc.get("flags", {})
+        # bool is an int subclass: `true` must not pass as 1.
+        overlap = thresholds.get("overlap", clientprep.DEFAULT_OVERLAP_THRESHOLD)
+        if type(overlap) not in (int, float) or not 0.0 < overlap <= 1.0:
+            raise ConfigError(f"config {cfg_path}: overlap threshold must be a number in (0, 1]: {overlap!r}")
+        min_lib_files = thresholds.get("min_lib_files", clientprep.DEFAULT_MIN_LIB_FILES)
+        if type(min_lib_files) is not int or min_lib_files < 1:
+            raise ConfigError(f"config {cfg_path}: min_lib_files must be an integer >= 1: {min_lib_files!r}")
+        file_cap_bytes = thresholds.get("file_cap_bytes", scan.DEFAULT_FILE_CAP_BYTES)
+        if type(file_cap_bytes) is not int or file_cap_bytes < 1:
+            raise ConfigError(f"config {cfg_path}: file_cap_bytes must be a positive integer: {file_cap_bytes!r}")
+        return RunConfig(
+            library_specs=specs,
+            dependency_db=resolve(doc.get("dependency_db")),
+            clients_root=resolve(doc.get("clients_root")),
+            output_dir=resolve(doc.get("output_dir", "out")),
+            overlap_threshold=overlap,
+            min_lib_files=min_lib_files,
+            file_cap_bytes=file_cap_bytes,
+            paper_faithful=flags.get("paper_faithful", False),
+            loose_call_match=flags.get("loose_call_match", False),
+        )
 
-    thresholds = doc.get("thresholds", {})
-    flags = doc.get("flags", {})
-    overlap = thresholds.get("overlap", clientprep.DEFAULT_OVERLAP_THRESHOLD)
-    if not 0.0 < overlap <= 1.0:
-        raise ConfigError(f"overlap threshold out of range: {overlap}")
-    min_lib_files = thresholds.get("min_lib_files", clientprep.DEFAULT_MIN_LIB_FILES)
-    if min_lib_files < 1:
-        raise ConfigError(f"min_lib_files must be >= 1: {min_lib_files}")
-    file_cap_bytes = thresholds.get("file_cap_bytes", scan.DEFAULT_FILE_CAP_BYTES)
-    if type(file_cap_bytes) is not int or file_cap_bytes < 1:
-        raise ConfigError(f"file_cap_bytes must be a positive integer: {file_cap_bytes!r}")
-    return RunConfig(
-        library_specs=specs,
-        dependency_db=resolve(doc.get("dependency_db")),
-        clients_root=resolve(doc.get("clients_root")),
-        output_dir=resolve(doc.get("output_dir", "out")),
-        overlap_threshold=overlap,
-        min_lib_files=min_lib_files,
-        file_cap_bytes=file_cap_bytes,
-        paper_faithful=flags.get("paper_faithful", False),
-        loose_call_match=flags.get("loose_call_match", False),
-    )
+    return artifacts.load_json(cfg_path, "config", parse, error=ConfigError)
 
 
 def load_dependency_db(path: str | Path) -> list[DependencyEntry]:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise DependencyDbError(f"cannot read dependency db {path}: {exc}") from exc
-    if not isinstance(doc, list):
-        raise DependencyDbError(f"dependency db {path}: expected a list of entries, got {type(doc).__name__}")
-    entries = []
-    seen = set()
-    for i, item in enumerate(doc):
-        if not isinstance(item, dict) or "client" not in item or "library" not in item:
-            raise DependencyDbError(
-                f"dependency db {path}: entry {i} needs \"client\" and \"library\": {item!r}"
+    def parse(doc: list) -> list[DependencyEntry]:
+        entries = []
+        seen = set()
+        for i, item in enumerate(doc):
+            if not isinstance(item, dict) or "client" not in item or "library" not in item:
+                raise DependencyDbError(
+                    f"dependency db {path}: entry {i} needs \"client\" and \"library\": {item!r}"
+                )
+            entry = DependencyEntry(
+                client=item["client"], source=item.get("source", ""), library=item["library"]
             )
-        entry = DependencyEntry(
-            client=item["client"], source=item.get("source", ""), library=item["library"]
-        )
-        key = (entry.client, entry.library)
-        if key in seen:
-            raise DependencyDbError(f"dependency db {path}: duplicate (client, library) pair: {key}")
-        seen.add(key)
-        entries.append(entry)
-    return entries
+            key = (entry.client, entry.library)
+            if key in seen:
+                raise DependencyDbError(f"dependency db {path}: duplicate (client, library) pair: {key}")
+            seen.add(key)
+            entries.append(entry)
+        return entries
+
+    return artifacts.load_json(path, "dependency db", parse, error=DependencyDbError, root=list)
 
 
 def _slug(name: str) -> str:
@@ -179,7 +161,7 @@ def _load_catalog_or_fail(config: RunConfig, library: str) -> ApiCatalog:
 
 def usage_report_dict(report: scan.UsageReport) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": artifacts.SCHEMA_VERSION,
         "client": report.client_id,
         "library": report.library,
         "uses": dict(sorted(report.uses.items())),
@@ -191,7 +173,7 @@ def usage_report_dict(report: scan.UsageReport) -> dict:
 
 def corpus_dict(agg: scan.CorpusAggregate, skipped: list[str]) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": artifacts.SCHEMA_VERSION,
         "library": agg.library,
         "catalog_size": agg.catalog_size,
         "clients": [usage_report_dict(r) for r in agg.reports],
@@ -203,7 +185,7 @@ def corpus_dict(agg: scan.CorpusAggregate, skipped: list[str]) -> dict:
 
 
 def corpus_from_dict(doc: dict) -> scan.CorpusAggregate:
-    check_schema_version(doc, "corpus aggregate")
+    artifacts.check_schema_version(doc, "corpus aggregate")
     reports_list = [
         scan.UsageReport(
             client_id=c["client"],
@@ -216,16 +198,20 @@ def corpus_from_dict(doc: dict) -> scan.CorpusAggregate:
     return scan.aggregate_reports(doc["library"], doc["catalog_size"], reports_list)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def improvement_from_dict(doc: dict) -> coverage.ImprovementReport:
+    artifacts.check_schema_version(doc, "improvement report")
+    return coverage.ImprovementReport(
+        extra_total_coverage_pct=doc["extra_total_coverage_pct"],
+        newly_covered_apis=doc["newly_covered_apis"],
+        improved_apis=doc["improved_apis"],
+        new_api_lines_covered=doc["new_api_lines_covered"],
+    )
 
 
 # --- subcommands ---------------------------------------------------------------
 
 
 def cmd_catalog(config: RunConfig, library: str | None, diag: Diagnostics) -> int:
-    Path(config.output_dir).mkdir(parents=True, exist_ok=True)
     specs = [config.spec_for(library)] if library else config.library_specs
     if not specs:
         raise ConfigError("no libraries configured")
@@ -306,17 +292,17 @@ def cmd_scan(config: RunConfig, library: str, diag: Diagnostics, collect_sites: 
         for event in events:
             diag.emit(**event)
         slug = _slug(rec.client_id)
-        _write_json(out_dir / f"prep_{_slug(library)}_{slug}.json", clientprep.prep_report_dict(rec))
+        artifacts.write_json(out_dir / f"prep_{_slug(library)}_{slug}.json", clientprep.prep_report_dict(rec))
         payload = usage_report_dict(report)
         if report.sites is not None:
             listing = [f"{s.file}:{s.line}:{s.api}" for s in report.sites]
             payload["sites"] = listing
             sites_path = out_dir / f"usage_{_slug(library)}_{slug}.sites.txt"
-            sites_path.write_text("".join(line + "\n" for line in listing))
-        _write_json(out_dir / f"usage_{_slug(library)}_{slug}.json", payload)
+            artifacts.write_text(sites_path, "".join(line + "\n" for line in listing))
+        artifacts.write_json(out_dir / f"usage_{_slug(library)}_{slug}.json", payload)
 
     agg = scan.aggregate_reports(library, len(catalog.apis), [r for _, r, _ in results])
-    _write_json(corpus_path(config, library), corpus_dict(agg, skipped))
+    artifacts.write_json(corpus_path(config, library), corpus_dict(agg, skipped))
     print(
         f"{library}: scanned {len(results)} clients"
         + (f", skipped {len(skipped)}" if skipped else "")
@@ -361,16 +347,9 @@ def cmd_coverage(
         if baseline is None or augmented is None:
             raise ConfigError("--baseline and --augmented must be given together")
         delta = coverage.coverage_delta(parse_path(baseline), parse_path(augmented), catalog, diag)
-        _write_json(
+        artifacts.write_json(
             improvement_path(config, library),
-            {
-                "schema_version": SCHEMA_VERSION,
-                "library": library,
-                "extra_total_coverage_pct": delta.extra_total_coverage_pct,
-                "newly_covered_apis": delta.newly_covered_apis,
-                "improved_apis": delta.improved_apis,
-                "new_api_lines_covered": delta.new_api_lines_covered,
-            },
+            {"schema_version": artifacts.SCHEMA_VERSION, "library": library, **vars(delta)},
         )
         print(
             f"{library}: +{delta.extra_total_coverage_pct:.1f}pp total coverage, "
@@ -389,22 +368,12 @@ def cmd_report(config: RunConfig, library: str, diag: Diagnostics) -> int:
     if not agg_path.is_file():
         raise MissingInputsError(f"missing scan aggregate: {agg_path} (run `scan`)")
     catalog = load_catalog(cat_path)
-    agg = corpus_from_dict(json.loads(agg_path.read_text()))
+    agg = artifacts.load_json(agg_path, "usage corpus", corpus_from_dict)
 
     improvement = None
     imp_path = improvement_path(config, library)
     if imp_path.is_file():
-        doc = json.loads(imp_path.read_text())
-        check_schema_version(doc, "improvement report")
-        improvement = (
-            library,
-            coverage.ImprovementReport(
-                extra_total_coverage_pct=doc["extra_total_coverage_pct"],
-                newly_covered_apis=doc["newly_covered_apis"],
-                improved_apis=doc["improved_apis"],
-                new_api_lines_covered=doc["new_api_lines_covered"],
-            ),
-        )
+        improvement = (library, artifacts.load_json(imp_path, "improvement report", improvement_from_dict))
 
     utilisation = metrics.client_utilisation_distribution(agg) if agg.reports else None
     written = reports.emit_reports(
@@ -428,13 +397,12 @@ def cmd_eval(
     oracle_path: str,
     diag: Diagnostics,
 ) -> int:
-    def load_results(path: str) -> dict[str, dict[str, int]]:
-        doc = json.loads(Path(path).read_text())
-        check_schema_version(doc, "evaluation results")
+    def parse(doc: dict) -> dict[str, dict[str, int]]:
+        artifacts.check_schema_version(doc, "evaluation results")
         return {client: dict(counts) for client, counts in doc["clients"].items()}
 
-    tool = load_results(tool_path)
-    oracle = load_results(oracle_path)
+    tool = artifacts.load_json(tool_path, "evaluation results", parse)
+    oracle = artifacts.load_json(oracle_path, "evaluation results", parse)
     shared = sorted(set(tool) & set(oracle))
     if set(tool) != set(oracle):
         diag.emit(

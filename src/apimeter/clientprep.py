@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 
+from . import artifacts
 from .catalog import SOURCE_EXTENSIONS, LibrarySpec
 from .diagnostics import Diagnostics
 from .errors import MissingRootError
@@ -229,7 +230,7 @@ def prepare_client(
 
 def prep_report_dict(rec: ClientRecord) -> dict:
     return {
-        "schema_version": "1.0",
+        "schema_version": artifacts.SCHEMA_VERSION,
         "client": rec.client_id,
         "excluded_dirs": [
             {"path": p, "rule": rec.rules.get(p, "overlap")} for p in sorted(rec.excluded_dirs)

@@ -56,7 +56,7 @@ class CatalogMismatchError(ApimeterError):
 
 
 class ReportIoError(ApimeterError):
-    """A report file could not be written."""
+    """An artifact or report file, or its directory, could not be written; names the path."""
 
 
 class MissingCatalogError(ApimeterError):

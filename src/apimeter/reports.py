@@ -7,12 +7,11 @@ series keep full precision.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
+from . import artifacts
 from .coverage import ImprovementReport
 from .diagnostics import Diagnostics
-from .errors import ReportIoError
 from .metrics import (
     CoverageBucketReport,
     EvalCounts,
@@ -24,242 +23,123 @@ from .metrics import (
     UtilisationSummary,
 )
 
-SCHEMA_VERSION = "1.0"
-
-REPORT_UNUSED = "report_unused"
-REPORT_UTILISATION = "report_utilisation"
-REPORT_USE_DISTRIBUTION = "report_use_distribution"
-REPORT_COV_BUCKETS = "report_cov_buckets"
-REPORT_SIZE_BUCKETS = "report_size_buckets"
-REPORT_USED_NOT_TESTED = "report_used_not_tested"
-REPORT_IMPROVEMENT = "report_improvement"
-REPORT_EVAL = "report_eval"
+COV_BUCKET_BOUNDS = {"under_50": "[0,50)", "from_50_to_80": "[50,80)", "over_80": "[80,100]"}
+EVAL_MODES = ("distinct", "total")
 
 
-def _write(path: Path, text: str, diag: Diagnostics | None) -> Path:
-    try:
-        path.write_text(text)
-    except OSError as exc:
-        raise ReportIoError(f"cannot write {path}: {exc}") from exc
+def _fields(items) -> list[dict]:
+    """Each dataclass row as {field: value}; report keys are the field names.
+    Shallow on purpose: `dataclasses.asdict` deep-copies every value."""
+    return [vars(item) for item in items]
+
+
+def _utilisation_rows(summary: UtilisationSummary) -> list[dict]:
+    return [{"client": c, "utilisation_pct": pct} for c, pct in summary.per_client]
+
+
+def _eval_json(counts: EvalCounts, pr: PrecisionRecall) -> dict:
+    return {"tp": counts.tp, "fp": counts.fp, "fn": counts.fn, "precision": pr.precision, "recall": pr.recall}
+
+
+def _eval_row(client: str, results: dict[str, tuple[EvalCounts, PrecisionRecall]]) -> dict:
+    row: dict = {"client": client}
+    for mode in EVAL_MODES:
+        pr = results[mode][1]
+        for metric, value in (("precision", pr.precision), ("recall", pr.recall)):
+            row[f"{metric}_{mode}"] = None if value is None else round(value, 2)
+    return row
+
+
+# One entry per report, in bundle order: (report name, `emit_reports` keyword,
+# JSON payload of the keyword's value, CSV header, CSV rows of the value as
+# dicts; each CSV column reads the row key named in the header).
+REPORTS = (
+    (
+        "report_unused",
+        "unused",
+        lambda rows: {"rows": _fields(rows)},
+        ["library", "total", "unused", "unused_pct"],
+        _fields,
+    ),
+    (
+        "report_utilisation",
+        "utilisation",
+        lambda s: {
+            "library": s.library,
+            "clients": _utilisation_rows(s),
+            "summary": {"min": s.minimum, "q1": s.q1, "median": s.median, "q3": s.q3, "max": s.maximum},
+        },
+        ["client", "utilisation_pct"],
+        _utilisation_rows,
+    ),
+    (
+        "report_use_distribution",
+        "uses",
+        lambda rows: {"rows": _fields(rows)},
+        ["api", "client_count", "total_uses"],
+        _fields,
+    ),
+    (
+        "report_cov_buckets",
+        "cov_buckets",
+        lambda report: {"bucket_bounds": COV_BUCKET_BOUNDS, "rows": _fields(report.rows), "unmeasured": report.unmeasured},
+        ["library", "bucket", "api_count"],
+        lambda report: _fields(report.rows),
+    ),
+    (
+        "report_size_buckets",
+        "size_rows",
+        lambda rows: {"rows": _fields(rows)},
+        ["library", "bucket", "api_count", "combined_coverage_pct", "fully_covered_count"],
+        _fields,
+    ),
+    (
+        "report_used_not_tested",
+        "not_tested",
+        vars,
+        ["library", "api_count", "pct_of_catalog", "used_unmeasured"],
+        lambda row: [vars(row)],
+    ),
+    (
+        "report_improvement",
+        "improvement",
+        lambda imp: {"library": imp[0], **vars(imp[1])},
+        ["library", "extra_total_coverage_pct", "newly_covered", "improved", "new_api_lines_covered"],
+        lambda imp: [
+            {
+                "library": imp[0],
+                "extra_total_coverage_pct": imp[1].extra_total_coverage_pct,
+                "newly_covered": len(imp[1].newly_covered_apis),
+                "improved": len(imp[1].improved_apis),
+                "new_api_lines_covered": imp[1].new_api_lines_covered,
+            }
+        ],
+    ),
+    (
+        "report_eval",
+        "evaluation",
+        lambda per_client: {
+            "clients": [
+                {"client": c, **{m: _eval_json(*per_client[c][m]) for m in EVAL_MODES}}
+                for c in sorted(per_client)
+            ]
+        },
+        ["client", "precision_distinct", "recall_distinct", "precision_total", "recall_total"],
+        lambda per_client: [_eval_row(c, per_client[c]) for c in sorted(per_client)],
+    ),
+)
+
+
+def _csv(header: list[str], rows: list[dict]) -> str:
+    lines = [",".join(header)]
+    lines += [",".join("" if row[h] is None else str(row[h]) for h in header) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _announce(path: Path, diag: Diagnostics | None) -> Path:
     if diag:
         diag.emit("report_written", path=str(path))
     return path
-
-
-def _write_json(directory: Path, name: str, payload: dict, diag: Diagnostics | None) -> Path:
-    doc = {"schema_version": SCHEMA_VERSION, **payload}
-    return _write(directory / f"{name}.json", json.dumps(doc, indent=2, sort_keys=True) + "\n", diag)
-
-
-def _write_csv(directory: Path, name: str, header: list[str], rows: list[list], diag: Diagnostics | None) -> Path:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if v is None else str(v) for v in row))
-    return _write(directory / f"{name}.csv", "\n".join(lines) + "\n", diag)
-
-
-def emit_unused(directory: Path, rows: list[UnusedApisRow], diag: Diagnostics | None = None) -> list[Path]:
-    payload = {
-        "rows": [
-            {
-                "library": r.library,
-                "total": r.total,
-                "unused": r.unused,
-                "unused_pct": r.unused_pct,
-                "unused_names": list(r.unused_names),
-            }
-            for r in rows
-        ]
-    }
-    return [
-        _write_json(directory, REPORT_UNUSED, payload, diag),
-        _write_csv(
-            directory,
-            REPORT_UNUSED,
-            ["library", "total", "unused", "unused_pct"],
-            [[r.library, r.total, r.unused, r.unused_pct] for r in rows],
-            diag,
-        ),
-    ]
-
-
-def emit_utilisation(directory: Path, summary: UtilisationSummary, diag: Diagnostics | None = None) -> list[Path]:
-    payload = {
-        "library": summary.library,
-        "clients": [{"client": c, "utilisation_pct": pct} for c, pct in summary.per_client],
-        "summary": {
-            "min": summary.minimum,
-            "q1": summary.q1,
-            "median": summary.median,
-            "q3": summary.q3,
-            "max": summary.maximum,
-        },
-    }
-    return [
-        _write_json(directory, REPORT_UTILISATION, payload, diag),
-        _write_csv(
-            directory,
-            REPORT_UTILISATION,
-            ["client", "utilisation_pct"],
-            [[c, pct] for c, pct in summary.per_client],
-            diag,
-        ),
-    ]
-
-
-def emit_use_distribution(directory: Path, rows: list[UseDistributionRow], diag: Diagnostics | None = None) -> list[Path]:
-    payload = {
-        "rows": [
-            {"api": r.api, "client_count": r.client_count, "total_uses": r.total_uses} for r in rows
-        ]
-    }
-    return [
-        _write_json(directory, REPORT_USE_DISTRIBUTION, payload, diag),
-        _write_csv(
-            directory,
-            REPORT_USE_DISTRIBUTION,
-            ["api", "client_count", "total_uses"],
-            [[r.api, r.client_count, r.total_uses] for r in rows],
-            diag,
-        ),
-    ]
-
-
-def emit_cov_buckets(directory: Path, report: CoverageBucketReport, diag: Diagnostics | None = None) -> list[Path]:
-    payload = {
-        "bucket_bounds": {"under_50": "[0,50)", "from_50_to_80": "[50,80)", "over_80": "[80,100]"},
-        "rows": [
-            {"library": r.library, "bucket": r.bucket, "api_count": r.api_count}
-            for r in report.rows
-        ],
-        "unmeasured": report.unmeasured,
-    }
-    return [
-        _write_json(directory, REPORT_COV_BUCKETS, payload, diag),
-        _write_csv(
-            directory,
-            REPORT_COV_BUCKETS,
-            ["library", "bucket", "api_count"],
-            [[r.library, r.bucket, r.api_count] for r in report.rows],
-            diag,
-        ),
-    ]
-
-
-def emit_size_buckets(directory: Path, rows: list[SizeBucketRow], diag: Diagnostics | None = None) -> list[Path]:
-    payload = {
-        "rows": [
-            {
-                "library": r.library,
-                "bucket": r.bucket,
-                "api_count": r.api_count,
-                "combined_coverage_pct": r.combined_coverage_pct,
-                "fully_covered_count": r.fully_covered_count,
-            }
-            for r in rows
-        ]
-    }
-    return [
-        _write_json(directory, REPORT_SIZE_BUCKETS, payload, diag),
-        _write_csv(
-            directory,
-            REPORT_SIZE_BUCKETS,
-            ["library", "bucket", "api_count", "combined_coverage_pct", "fully_covered_count"],
-            [
-                [r.library, r.bucket, r.api_count, r.combined_coverage_pct, r.fully_covered_count]
-                for r in rows
-            ],
-            diag,
-        ),
-    ]
-
-
-def emit_used_not_tested(directory: Path, row: UsedNotTestedRow, diag: Diagnostics | None = None) -> list[Path]:
-    payload = {
-        "library": row.library,
-        "api_count": row.api_count,
-        "pct_of_catalog": row.pct_of_catalog,
-        "apis": list(row.apis),
-        "used_unmeasured": row.used_unmeasured,
-    }
-    return [
-        _write_json(directory, REPORT_USED_NOT_TESTED, payload, diag),
-        _write_csv(
-            directory,
-            REPORT_USED_NOT_TESTED,
-            ["library", "api_count", "pct_of_catalog", "used_unmeasured"],
-            [[row.library, row.api_count, row.pct_of_catalog, row.used_unmeasured]],
-            diag,
-        ),
-    ]
-
-
-def emit_improvement(directory: Path, library: str, report: ImprovementReport, diag: Diagnostics | None = None) -> list[Path]:
-    payload = {
-        "library": library,
-        "extra_total_coverage_pct": report.extra_total_coverage_pct,
-        "newly_covered_apis": list(report.newly_covered_apis),
-        "improved_apis": list(report.improved_apis),
-        "new_api_lines_covered": report.new_api_lines_covered,
-    }
-    return [
-        _write_json(directory, REPORT_IMPROVEMENT, payload, diag),
-        _write_csv(
-            directory,
-            REPORT_IMPROVEMENT,
-            ["library", "extra_total_coverage_pct", "newly_covered", "improved", "new_api_lines_covered"],
-            [
-                [
-                    library,
-                    report.extra_total_coverage_pct,
-                    len(report.newly_covered_apis),
-                    len(report.improved_apis),
-                    report.new_api_lines_covered,
-                ]
-            ],
-            diag,
-        ),
-    ]
-
-
-def emit_eval(
-    directory: Path,
-    per_client: dict[str, dict[str, tuple[EvalCounts, PrecisionRecall]]],
-    diag: Diagnostics | None = None,
-) -> list[Path]:
-    clients = []
-    csv_rows = []
-    for client in sorted(per_client):
-        modes = {}
-        row: list = [client]
-        for mode in ("distinct", "total"):
-            counts, pr = per_client[client][mode]
-            modes[mode] = {
-                "tp": counts.tp,
-                "fp": counts.fp,
-                "fn": counts.fn,
-                "precision": pr.precision,
-                "recall": pr.recall,
-            }
-            row.extend(
-                [
-                    None if pr.precision is None else round(pr.precision, 2),
-                    None if pr.recall is None else round(pr.recall, 2),
-                ]
-            )
-        clients.append({"client": client, **modes})
-        csv_rows.append(row)
-    payload = {"clients": clients}
-    return [
-        _write_json(directory, REPORT_EVAL, payload, diag),
-        _write_csv(
-            directory,
-            REPORT_EVAL,
-            ["client", "precision_distinct", "recall_distinct", "precision_total", "recall_total"],
-            csv_rows,
-            diag,
-        ),
-    ]
 
 
 def emit_reports(
@@ -276,27 +156,23 @@ def emit_reports(
     diag: Diagnostics | None = None,
 ) -> list[Path]:
     """Write every report whose inputs were computed; returns written paths."""
+    inputs = dict(
+        unused=unused,
+        utilisation=utilisation,
+        uses=uses,
+        cov_buckets=cov_buckets,
+        size_rows=size_rows,
+        not_tested=not_tested,
+        improvement=improvement,
+        evaluation=evaluation,
+    )
     out = Path(directory)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ReportIoError(f"cannot create {out}: {exc}") from exc
-
     written: list[Path] = []
-    if unused is not None:
-        written += emit_unused(out, unused, diag)
-    if utilisation is not None:
-        written += emit_utilisation(out, utilisation, diag)
-    if uses is not None:
-        written += emit_use_distribution(out, uses, diag)
-    if cov_buckets is not None:
-        written += emit_cov_buckets(out, cov_buckets, diag)
-    if size_rows is not None:
-        written += emit_size_buckets(out, size_rows, diag)
-    if not_tested is not None:
-        written += emit_used_not_tested(out, not_tested, diag)
-    if improvement is not None:
-        written += emit_improvement(out, improvement[0], improvement[1], diag)
-    if evaluation is not None:
-        written += emit_eval(out, evaluation, diag)
+    for name, key, payload, header, rows in REPORTS:
+        value = inputs[key]
+        if value is None:
+            continue
+        doc = {"schema_version": artifacts.SCHEMA_VERSION, **payload(value)}
+        written.append(_announce(artifacts.write_json(out / f"{name}.json", doc), diag))
+        written.append(_announce(artifacts.write_text(out / f"{name}.csv", _csv(header, rows(value))), diag))
     return written

@@ -282,17 +282,6 @@ def scan_client(
     )
 
 
-def corpus_scan(
-    clients: list[ClientRecord],
-    catalog: ApiCatalog,
-    options: ScanOptions = ScanOptions(),
-    diag: Diagnostics | None = None,
-) -> CorpusAggregate:
-    """Scan a list of prepared clients and fold the reports."""
-    reports = [scan_client(rec, catalog, options, diag) for rec in clients]
-    return aggregate_reports(catalog.library, len(catalog.apis), reports)
-
-
 def aggregate_reports(library: str, catalog_size: int, reports: list[UsageReport]) -> CorpusAggregate:
     """Fold per-client reports; commutative, so any merge order is valid."""
     agg = CorpusAggregate(library=library, catalog_size=catalog_size)

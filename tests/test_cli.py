@@ -161,6 +161,37 @@ def test_config_rejects_bad_file_cap(workspace, capsys, cap):
     assert f"file_cap_bytes must be a positive integer: {cap!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"thresholds": {"overlap": "0.5"}},
+        {"thresholds": {"overlap": True}},
+        {"thresholds": {"min_lib_files": "3"}},
+        {"thresholds": {"min_lib_files": True}},
+        {"thresholds": ["overlap", 0.5]},
+        [{"libraries": []}],
+    ],
+    ids=["overlap_str", "overlap_bool", "min_lib_files_str", "min_lib_files_bool", "thresholds_list", "list"],
+)
+def test_config_rejects_mistyped_values(tmp_path, capsys, doc):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["catalog", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"config {cfg}" in err
+    assert "ConfigError" in err
+
+
+def test_catalog_into_unwritable_output_names_it(workspace, tmp_path, capsys):
+    cfg, _ = workspace
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    assert main(["catalog", "--config", str(cfg), "--output", str(blocker)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot write {blocker / 'catalog_tinykv.json'}" in err
+    assert "ReportIoError" in err
+
+
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_scan_rejects_non_positive_min_lib_files(workspace, capsys, value):
     cfg, _ = workspace
@@ -460,6 +491,95 @@ def test_coverage_on_truncated_catalog_names_it(workspace, capsys):
     good = str(GOLDEN / "tracefile_library.info")
     assert main(["coverage", "--config", str(cfg), "--library", "tinykv", good]) == 1
     assert f"error: cannot load catalog {catalog}: JSONDecodeError" in capsys.readouterr().err
+
+
+def _truncate(path: Path) -> None:
+    path.write_text(path.read_text()[:50])
+
+
+def _drop_key(key: str):
+    def damage(path: Path) -> None:
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+
+    return damage
+
+
+def _run_to_report(cfg: Path) -> None:
+    main(["catalog", "--config", str(cfg)])
+    main(["scan", "--config", str(cfg), "--library", "tinykv"])
+    trace = str(GOLDEN / "tracefile_library.info")
+    main(["coverage", "--config", str(cfg), "--library", "tinykv", "--baseline", trace, "--augmented", trace])
+
+
+@pytest.mark.parametrize(
+    "stage, artifact, kind, damage",
+    [
+        ("report", "usage_tinykv_corpus.json", "usage corpus", _truncate),
+        ("report", "usage_tinykv_corpus.json", "usage corpus", _drop_key("clients")),
+        ("report", "improvement_tinykv.json", "improvement report", _truncate),
+        ("report", "improvement_tinykv.json", "improvement report", _drop_key("extra_total_coverage_pct")),
+        ("eval", "tool.json", "evaluation results", Path.unlink),
+        ("eval", "tool.json", "evaluation results", _truncate),
+        ("eval", "tool.json", "evaluation results", _drop_key("clients")),
+        ("eval", "oracle.json", "evaluation results", Path.unlink),
+        ("eval", "oracle.json", "evaluation results", _truncate),
+        ("eval", "oracle.json", "evaluation results", _drop_key("clients")),
+    ],
+    ids=[
+        "corpus_truncated",
+        "corpus_keyless",
+        "improvement_truncated",
+        "improvement_keyless",
+        "tool_missing",
+        "tool_truncated",
+        "tool_keyless",
+        "oracle_missing",
+        "oracle_truncated",
+        "oracle_keyless",
+    ],
+)
+def test_damaged_stage_artifact_names_it(workspace, tmp_path, capsys, stage, artifact, kind, damage):
+    cfg, out = workspace
+    if stage == "report":
+        _run_to_report(cfg)
+        path = out / artifact
+        args = ["report", "--config", str(cfg), "--library", "tinykv"]
+    else:
+        results = {"schema_version": "1.0", "clients": {"c1": {"a": 3, "b": 1, "c": 7}}}
+        for name in ("tool.json", "oracle.json"):
+            (tmp_path / name).write_text(json.dumps(results))
+        path = tmp_path / artifact
+        args = ["eval", "--tool", str(tmp_path / "tool.json"), "--oracle", str(tmp_path / "oracle.json"),
+                "--output", str(out)]
+    damage(path)
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot load {kind} {path}" in err
+    assert "InputFileError" in err
+
+
+def test_stage_reruns_are_byte_identical(workspace):
+    cfg, out = workspace
+    main(["catalog", "--config", str(cfg)])
+    trace = str(GOLDEN / "tracefile_library.info")
+    stages = [
+        ["scan", "--config", str(cfg), "--library", "tinykv", "--sites"],
+        ["coverage", "--config", str(cfg), "--library", "tinykv", trace],
+        ["coverage", "--config", str(cfg), "--library", "tinykv", "--baseline", trace, "--augmented", trace],
+        ["report", "--config", str(cfg), "--library", "tinykv"],
+    ]
+
+    def run_all() -> dict[str, bytes]:
+        for argv in stages:
+            assert main(argv) == 0
+        return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    first = run_all()
+    assert run_all() == first
+    assert not [name for name in first if Path(name).name.startswith(".")]
 
 
 def test_report_on_empty_corpus_is_valid(workspace, tmp_path):

@@ -4,7 +4,7 @@ import subprocess
 import pytest
 
 from apimeter import elfsynth
-from apimeter.catalog import extract_exported_symbols
+from apimeter.elf import exported_text_symbols
 from apimeter.errors import NoDynamicSymbolsError, NotElfError
 
 
@@ -17,26 +17,26 @@ def test_global_text_symbols_only(tmp_path):
             elfsynth.data_object("table"),
         ],
     )
-    assert extract_exported_symbols(so) == {"f"}
+    assert exported_text_symbols(so) == {"f"}
 
 
 def test_data_only_object_exports_nothing(tmp_path):
     so = elfsynth.write_shared_object(tmp_path / "lib.so", [elfsynth.data_object("table")])
-    assert extract_exported_symbols(so) == set()
+    assert exported_text_symbols(so) == set()
 
 
 def test_weak_symbols_are_not_exported_text(tmp_path):
     so = elfsynth.write_shared_object(
         tmp_path / "lib.so", [elfsynth.function("f"), elfsynth.weak_function("w")]
     )
-    assert extract_exported_symbols(so) == {"f"}
+    assert exported_text_symbols(so) == {"f"}
 
 
 def test_versioned_names_normalized(tmp_path):
     so = elfsynth.write_shared_object(
         tmp_path / "lib.so", [elfsynth.function("tk_open@@TINYKV_1.0")]
     )
-    assert extract_exported_symbols(so) == {"tk_open"}
+    assert exported_text_symbols(so) == {"tk_open"}
 
 
 def test_elf32_big_endian(tmp_path):
@@ -46,21 +46,21 @@ def test_elf32_big_endian(tmp_path):
         bits=32,
         little_endian=False,
     )
-    assert extract_exported_symbols(so) == {"f"}
+    assert exported_text_symbols(so) == {"f"}
 
 
 def test_not_elf(tmp_path):
     bogus = tmp_path / "not_elf.so"
     bogus.write_bytes(b"MZ this is not an ELF file")
     with pytest.raises(NotElfError):
-        extract_exported_symbols(bogus)
+        exported_text_symbols(bogus)
 
 
 def test_truncated_elf(tmp_path):
     so = elfsynth.write_shared_object(tmp_path / "lib.so", [elfsynth.function("f")])
     (tmp_path / "cut.so").write_bytes(so.read_bytes()[:40])
     with pytest.raises(NotElfError):
-        extract_exported_symbols(tmp_path / "cut.so")
+        exported_text_symbols(tmp_path / "cut.so")
 
 
 def test_no_dynamic_symbols(tmp_path):
@@ -72,7 +72,7 @@ def test_no_dynamic_symbols(tmp_path):
     stripped = tmp_path / "stripped.so"
     stripped.write_bytes(bytes(data))
     with pytest.raises(NoDynamicSymbolsError):
-        extract_exported_symbols(stripped)
+        exported_text_symbols(stripped)
 
 
 TOOLCHAIN = shutil.which("gcc") and shutil.which("nm")
@@ -98,8 +98,8 @@ def test_cross_check_against_nm_on_compiled_library(tmp_path):
         for line in nm.stdout.splitlines()
         if " T " in line
     }
-    assert extract_exported_symbols(so) == nm_text
-    assert extract_exported_symbols(so) == {"mdb_env_create", "mdb_env_open"}
+    assert exported_text_symbols(so) == nm_text
+    assert exported_text_symbols(so) == {"mdb_env_create", "mdb_env_open"}
 
 
 @pytest.mark.skipif(not shutil.which("nm"), reason="needs nm")
@@ -115,4 +115,4 @@ def test_nm_agrees_on_synthesized_object(tmp_path):
     )
     nm = subprocess.run(["nm", "-CD", str(so)], check=True, capture_output=True, text=True)
     nm_text = {line.split()[-1] for line in nm.stdout.splitlines() if " T " in line}
-    assert extract_exported_symbols(so) == nm_text == {"alpha_fn", "beta_fn"}
+    assert exported_text_symbols(so) == nm_text == {"alpha_fn", "beta_fn"}

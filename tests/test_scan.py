@@ -7,7 +7,6 @@ from apimeter.diagnostics import Diagnostics
 from apimeter.scan import (
     ScanOptions,
     aggregate_reports,
-    corpus_scan,
     find_api_uses,
     scan_client,
     scan_sources,
@@ -185,7 +184,7 @@ def test_non_source_extensions_ignored(tmp_path, golden_catalog):
     assert scan_client(rec, golden_catalog).uses == {}
 
 
-def test_corpus_scan_aggregates_and_flags_silent_clients(tmp_path, golden_catalog):
+def test_scanned_clients_aggregate_and_flag_silent_clients(tmp_path, golden_catalog):
     used = tmp_path / "used"
     used.mkdir()
     (used / "a.c").write_text("void a(void) { tk_open(0, 0); }\n")
@@ -196,7 +195,8 @@ def test_corpus_scan_aggregates_and_flags_silent_clients(tmp_path, golden_catalo
         ClientRecord("used", str(used), frozenset(), frozenset()),
         ClientRecord("silent", str(silent), frozenset(), frozenset()),
     ]
-    agg = corpus_scan(recs, golden_catalog)
+    reports = [scan_client(rec, golden_catalog) for rec in recs]
+    agg = aggregate_reports(golden_catalog.library, len(golden_catalog.apis), reports)
     assert agg.api_client_counts == {"tk_open": 1}
     assert agg.api_total_uses == {"tk_open": 1}
     assert agg.clients_without_uses == ["silent"]
