@@ -24,12 +24,12 @@ SCHEMA_VERSION = "1.0"
 T = TypeVar("T")
 
 
-def check_schema_version(doc: dict, kind: str) -> None:
+def check_schema_version(doc: dict) -> None:
     version = str(doc.get("schema_version", ""))
     major = version.split(".", 1)[0]
     ours = SCHEMA_VERSION.split(".", 1)[0]
     if major != ours:
-        raise SchemaVersionError(f"{kind}: schema_version {version!r} not supported (expected {ours}.x)")
+        raise SchemaVersionError(f"schema_version {version!r} not supported (expected {ours}.x)")
 
 
 def write_text(path: str | Path, text: str) -> Path:
@@ -61,11 +61,14 @@ def load_json(
 ) -> T:
     """Read, decode and parse one JSON document of type `root`, then return
     `parse(doc)`. Unreadable, undecodable or malformed input, or a document
-    whose shape `parse` trips over, raises `error` naming the file."""
+    whose shape `parse` trips over, raises `error` naming the file; an
+    unsupported schema version raises `SchemaVersionError` naming it."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(doc, root):
             raise TypeError(f"expected a JSON {'object' if root is dict else 'list'}, got {type(doc).__name__}")
         return parse(doc)
+    except SchemaVersionError as exc:
+        raise SchemaVersionError(f"cannot load {kind} {path}: {exc}") from exc
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise error(f"cannot load {kind} {path}: {type(exc).__name__}: {exc}") from exc

@@ -153,7 +153,7 @@ def catalog_to_dict(catalog: ApiCatalog) -> dict:
 
 
 def catalog_from_dict(doc: dict) -> ApiCatalog:
-    artifacts.check_schema_version(doc, "catalog")
+    artifacts.check_schema_version(doc)
     apis = {
         entry["name"]: ApiSymbol(
             name=entry["name"],

@@ -95,6 +95,9 @@ def load_config(path: str | Path) -> RunConfig:
         file_cap_bytes = thresholds.get("file_cap_bytes", scan.DEFAULT_FILE_CAP_BYTES)
         if type(file_cap_bytes) is not int or file_cap_bytes < 1:
             raise ConfigError(f"config {cfg_path}: file_cap_bytes must be a positive integer: {file_cap_bytes!r}")
+        for name in ("paper_faithful", "loose_call_match"):
+            if type(flags.get(name, False)) is not bool:
+                raise ConfigError(f"config {cfg_path}: flags.{name} must be true or false: {flags[name]!r}")
         return RunConfig(
             library_specs=specs,
             dependency_db=resolve(doc.get("dependency_db")),
@@ -118,6 +121,10 @@ def load_dependency_db(path: str | Path) -> list[DependencyEntry]:
             if not isinstance(item, dict) or "client" not in item or "library" not in item:
                 raise DependencyDbError(
                     f"dependency db {path}: entry {i} needs \"client\" and \"library\": {item!r}"
+                )
+            if not isinstance(item["client"], str) or not isinstance(item["library"], str):
+                raise DependencyDbError(
+                    f"dependency db {path}: entry {i}: \"client\" and \"library\" must be strings: {item!r}"
                 )
             entry = DependencyEntry(
                 client=item["client"], source=item.get("source", ""), library=item["library"]
@@ -185,7 +192,7 @@ def corpus_dict(agg: scan.CorpusAggregate, skipped: list[str]) -> dict:
 
 
 def corpus_from_dict(doc: dict) -> scan.CorpusAggregate:
-    artifacts.check_schema_version(doc, "corpus aggregate")
+    artifacts.check_schema_version(doc)
     reports_list = [
         scan.UsageReport(
             client_id=c["client"],
@@ -199,7 +206,7 @@ def corpus_from_dict(doc: dict) -> scan.CorpusAggregate:
 
 
 def improvement_from_dict(doc: dict) -> coverage.ImprovementReport:
-    artifacts.check_schema_version(doc, "improvement report")
+    artifacts.check_schema_version(doc)
     return coverage.ImprovementReport(
         extra_total_coverage_pct=doc["extra_total_coverage_pct"],
         newly_covered_apis=doc["newly_covered_apis"],
@@ -251,6 +258,23 @@ def _scan_one(
     return rec, report, diag.events
 
 
+# What every client of one `scan --jobs N` run shares (spec, inventory,
+# catalog, config, collect_sites). Only the pool's initializer sets it, once
+# in each worker process, so each task carries just its (entry, root).
+_worker_context: tuple = ()
+
+
+def _init_worker(*context) -> None:
+    global _worker_context
+    _worker_context = context
+
+
+def _scan_in_worker(
+    entry: DependencyEntry, root: Path
+) -> tuple[clientprep.ClientRecord, scan.UsageReport, list[dict]]:
+    return _scan_one(entry, root, *_worker_context)
+
+
 def cmd_scan(config: RunConfig, library: str, diag: Diagnostics, collect_sites: bool = False) -> int:
     if config.dependency_db is None or config.clients_root is None:
         raise ConfigError("scan requires dependency_db and clients_root in the configuration")
@@ -275,12 +299,9 @@ def cmd_scan(config: RunConfig, library: str, diag: Diagnostics, collect_sites: 
         # Imported here: it loads multiprocessing, which no other stage needs.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [
-                pool.submit(_scan_one, entry, root, spec, inv, catalog, config, collect_sites)
-                for entry, root in jobs
-            ]
-            results = [f.result() for f in futures]
+        context = (spec, inv, catalog, config, collect_sites)
+        with ProcessPoolExecutor(max_workers=config.jobs, initializer=_init_worker, initargs=context) as pool:
+            results = list(pool.map(_scan_in_worker, [e for e, _ in jobs], [r for _, r in jobs]))
     else:
         results = [
             _scan_one(entry, root, spec, inv, catalog, config, collect_sites)
@@ -398,7 +419,7 @@ def cmd_eval(
     diag: Diagnostics,
 ) -> int:
     def parse(doc: dict) -> dict[str, dict[str, int]]:
-        artifacts.check_schema_version(doc, "evaluation results")
+        artifacts.check_schema_version(doc)
         return {client: dict(counts) for client, counts in doc["clients"].items()}
 
     tool = artifacts.load_json(tool_path, "evaluation results", parse)

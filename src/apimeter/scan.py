@@ -5,14 +5,16 @@ One compiled tokenizer finds comments and string/char literals (raw
 strings included) in a single pass over each file and blanks them, keeping
 newlines so line numbers and columns survive. A use is a token-boundary API
 name followed by at most one (non-newline) whitespace and an opening
-parenthesis. Uses inside macro bodies and #ifdef regions count — under some
-build configuration they are real calls.
+parenthesis; the matcher finds it from each '(' back to its identifier, in
+one regex pass over the reversed text. Uses inside macro bodies and #ifdef
+regions count — under some build configuration they are real calls.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -22,11 +24,6 @@ from .clientprep import ClientRecord
 from .diagnostics import Diagnostics
 
 DEFAULT_FILE_CAP_BYTES = 16 * 1024 * 1024
-
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-# One optional whitespace between name and '(' — never a newline, matching
-# a line-oriented search.
-_STRICT_GAP = frozenset(" \t\f\v\r")
 
 # Line-oriented comment exclusion for evaluation parity with purely
 # regex-based pipelines: any line containing a comment marker, or starting
@@ -154,29 +151,35 @@ def mask_string_literals(source: str) -> str:
 # --- call-site matching -------------------------------------------------------
 
 
-def _match_calls(
-    text: str, api_names: frozenset[str] | set[str], loose: bool, with_lines: bool = True
-) -> Iterator[tuple[str, int]]:
-    """Yield (api, line) for every call-shaped occurrence; line is 0 unless
-    `with_lines`. `text` must already be comment-stripped and string-masked."""
-    n = len(text)
-    line, counted = (1 if with_lines else 0), 0
-    for m in _IDENT.finditer(text):
-        name = m.group()
-        if name not in api_names:
-            continue
-        j = m.end()
-        if loose:
-            while j < n and text[j] in " \t\f\v\r\n":
-                j += 1
-        elif j < n and text[j] in _STRICT_GAP:
-            j += 1
-        if j < n and text[j] == "(":
-            if with_lines:
-                start = m.start()
-                line += text.count("\n", counted, start)
-                counted = start
-            yield name, line
+# A call read backwards: '(' then the gap, then the identifier reversed.
+# Matching starts at a literal '(', so the engine skips from paren to paren.
+# Group 1 ends at the last letter or '_' of the reversed word run; the digits
+# after it lead the run in forward text and are not part of the identifier.
+# Strict allows one non-newline whitespace in the gap, as a line-oriented
+# search would; loose allows any whitespace, newlines included.
+_CALL = re.compile(r"\([ \t\f\v\r]?([A-Za-z0-9_]*[A-Za-z_])[0-9]*(?![A-Za-z0-9_])")
+_LOOSE_CALL = re.compile(r"\([ \t\f\v\r\n]*([A-Za-z0-9_]*[A-Za-z_])[0-9]*(?![A-Za-z0-9_])")
+
+
+def _call_sites(
+    text: str, reversed_names: set[str] | frozenset[str], pattern: re.Pattern
+) -> list[tuple[str, int]]:
+    """(api, line) of every call of a catalog API, in text order.
+
+    `text` must already be comment-stripped and string-masked;
+    `reversed_names` holds each API name spelled backwards."""
+    rev = text[::-1]
+    line, counted = rev.count("\n") + 1, 0
+    found = []
+    for m in pattern.finditer(rev):
+        name = m.group(1)
+        if name in reversed_names:
+            end = m.end(1)
+            line -= rev.count("\n", counted, end)
+            counted = end
+            found.append((name[::-1], line))
+    found.reverse()
+    return found
 
 
 def find_api_uses(source: str, api: str, loose: bool = False) -> list[int]:
@@ -186,7 +189,8 @@ def find_api_uses(source: str, api: str, loose: bool = False) -> list[int]:
     Each occurrence is reported, so one line can contribute several.
     """
     masked = mask_string_literals(source)
-    return [line for _, line in _match_calls(masked, {api}, loose)]
+    pattern = _LOOSE_CALL if loose else _CALL
+    return [line for _, line in _call_sites(masked, {api[::-1]}, pattern)]
 
 
 @dataclass(frozen=True)
@@ -207,17 +211,24 @@ def scan_sources(
 
     Pure aggregation: the result does not depend on file order.
     """
-    uses: dict[str, int] = {}
+    reversed_names = frozenset(name[::-1] for name in api_names)
+    pattern = _LOOSE_CALL if options.loose_call_match else _CALL
+    found: Counter[str] = Counter()  # keyed by reversed name
     sites: list[UseSite] = []
     for rel_path, text in files:
         if options.paper_faithful:
             prepared = mask_string_literals(strip_comment_lines(text))
         else:
             prepared = blank_comments_and_strings(text, diag)
-        for api, line in _match_calls(prepared, api_names, options.loose_call_match, options.collect_sites):
-            uses[api] = uses.get(api, 0) + 1
-            if options.collect_sites:
+        if options.collect_sites:
+            for api, line in _call_sites(prepared, reversed_names, pattern):
                 sites.append(UseSite(file=rel_path, line=line, api=api))
+        else:
+            found.update(filter(reversed_names.__contains__, pattern.findall(prepared[::-1])))
+    if options.collect_sites:
+        uses = dict(Counter(site.api for site in sites))
+    else:
+        uses = {name[::-1]: n for name, n in found.items()}
     return uses, sorted(sites, key=lambda s: (s.file, s.line, s.api))
 
 

@@ -144,6 +144,22 @@ def test_scan_diagnostics_reach_stderr_same_for_jobs(workspace, capsys):
     assert capsys.readouterr().err == serial
 
 
+def test_scan_jobs_parity_sites_loose(workspace, capsys):
+    cfg, out = workspace
+    main(["catalog", "--config", str(cfg)])
+    argv = ["scan", "--config", str(cfg), "--library", "tinykv", "--sites", "--loose-call-match"]
+
+    def run(extra: list[str]) -> tuple[dict[str, bytes], str]:
+        capsys.readouterr()
+        assert main(argv + extra) == 0
+        artifacts = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        return artifacts, capsys.readouterr().err
+
+    serial = run([])
+    assert any(name.endswith(".sites.txt") for name in serial[0])
+    assert run(["--jobs", "2"]) == serial
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_scan_rejects_non_positive_jobs(workspace, capsys, jobs):
     cfg, _ = workspace
@@ -639,6 +655,76 @@ def test_scan_with_malformed_dependency_db_exits_1(workspace, tmp_path, capsys):
     main(["catalog", "--config", str(cfg)])
     assert main(["scan", "--config", str(cfg), "--library", "tinykv"]) == 1
     assert f"dependency db {db}: entry 0 needs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("client", 5), ("library", ["tinykv"]), ("client", None)])
+def test_dependency_db_rejects_non_string_fields(workspace, tmp_path, capsys, field, value):
+    entry = {"client": "alpha", "source": "s", "library": "tinykv", field: value}
+    db = tmp_path / "db.json"
+    db.write_text(json.dumps([entry]))
+    with pytest.raises(DependencyDbError, match=f"dependency db {db}: entry 0"):
+        load_dependency_db(db)
+    cfg, _ = workspace
+    doc = json.loads(cfg.read_text())
+    doc["dependency_db"] = str(db)
+    cfg.write_text(json.dumps(doc))
+    main(["catalog", "--config", str(cfg)])
+    capsys.readouterr()
+    assert main(["scan", "--config", str(cfg), "--library", "tinykv"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: dependency db {db}: entry 0" in err
+    assert "DependencyDbError" in err
+
+
+@pytest.mark.parametrize("flag", ["paper_faithful", "loose_call_match"])
+@pytest.mark.parametrize("value", ["no", "false", "true", 0, 1, None, []])
+def test_config_rejects_non_boolean_flags(workspace, capsys, flag, value):
+    cfg, _ = workspace
+    doc = json.loads(cfg.read_text())
+    doc["flags"] = {flag: value}
+    cfg.write_text(json.dumps(doc))
+    assert main(["catalog", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: config {cfg}: flags.{flag} must be true or false: {value!r}" in err
+    assert "ConfigError" in err
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_config_accepts_boolean_flags(workspace, value):
+    from apimeter.cli import load_config
+
+    cfg, _ = workspace
+    doc = json.loads(cfg.read_text())
+    doc["flags"] = {"paper_faithful": value, "loose_call_match": value}
+    cfg.write_text(json.dumps(doc))
+    config = load_config(cfg)
+    assert config.paper_faithful is value
+    assert config.loose_call_match is value
+
+
+@pytest.mark.parametrize(
+    "stage, artifact, kind",
+    [
+        ("coverage", "catalog_tinykv.json", "catalog"),
+        ("report", "usage_tinykv_corpus.json", "usage corpus"),
+        ("report", "improvement_tinykv.json", "improvement report"),
+    ],
+)
+def test_unsupported_schema_version_names_the_file(workspace, capsys, stage, artifact, kind):
+    cfg, out = workspace
+    _run_to_report(cfg)
+    path = out / artifact
+    doc = json.loads(path.read_text())
+    doc["schema_version"] = "2.0"
+    path.write_text(json.dumps(doc))
+    args = [stage, "--config", str(cfg), "--library", "tinykv"]
+    if stage == "coverage":
+        args.append(str(GOLDEN / "tracefile_library.info"))
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot load {kind} {path}: schema_version '2.0' not supported (expected 1.x)" in err
+    assert "SchemaVersionError" in err
 
 
 def test_unknown_library_is_fatal(workspace, capsys):
