@@ -21,7 +21,6 @@ from .clientprep import (
     ClientRecord,
     LibraryInventory,
     build_library_inventory,
-    detect_vendored_dirs,
     parse_submodule_manifest,
     prepare_client,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "client_utilisation_distribution",
     "coverage_buckets",
     "coverage_delta",
-    "detect_vendored_dirs",
     "find_api_uses",
     "function_extents",
     "harvest_header_identifiers",

@@ -24,6 +24,13 @@ from .errors import EmptyCatalogError, EmptyHeaderSetError
 HEADER_EXTENSIONS = {".h", ".hh", ".hpp", ".hxx"}
 SOURCE_EXTENSIONS = {".c", ".cc", ".cpp", ".cxx"} | HEADER_EXTENSIONS
 
+
+def is_source_name(name: str) -> bool:
+    """Whether `Path(name).suffix.lower()` is in SOURCE_EXTENSIONS."""
+    i = name.rfind(".")
+    return 0 < i < len(name) - 1 and name[i:].lower() in SOURCE_EXTENSIONS
+
+
 C_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import artifacts, clientprep, coverage, metrics, reports, scan
@@ -255,7 +255,7 @@ def _scan_one(
         diag=diag,
     )
     report = scan.scan_client(rec, catalog, config.scan_options(collect_sites), diag)
-    return rec, report, diag.events
+    return replace(rec, listing=None), report, diag.events
 
 
 # What every client of one `scan --jobs N` run shares (spec, inventory,

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path, PurePosixPath
+from typing import Iterator
 
 from . import artifacts
-from .catalog import SOURCE_EXTENSIONS, LibrarySpec
+from .catalog import LibrarySpec, is_source_name
 from .diagnostics import Diagnostics
 from .errors import MissingRootError
 
@@ -23,6 +26,11 @@ DEFAULT_MIN_LIB_FILES = 3
 
 _SECTION = re.compile(r"\[\s*submodule\b[^\]]*\]")
 _ANY_SECTION = re.compile(r"\[[^\]]*\]")
+
+
+# One walked directory: its path relative to the root, its sorted subdirectory and other
+# (file, broken link) names, and the prefix that makes their paths ("" for a root of ".").
+WalkEntry = tuple[str, list[str], list[str], str]
 
 
 @dataclass(frozen=True)
@@ -34,6 +42,8 @@ class ClientRecord:
     excluded_dirs: frozenset[str]
     excluded_files: frozenset[str]
     rules: dict[str, str] = field(default_factory=dict, compare=False)
+    # prepare_client's walk, reused by the scan; never saved. Without one, the scan walks.
+    listing: list[WalkEntry] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -45,6 +55,16 @@ class LibraryInventory:
     """
 
     dirs: dict[str, frozenset[str]]
+    _postings: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def postings(self, min_files: int) -> dict[str, list[int]]:
+        """File name -> ids of the directories with at least min_files names."""
+        if min_files not in self._postings:
+            index = self._postings[min_files] = {}
+            for i, names in enumerate(self.dirs.values()):
+                for name in names if len(names) >= min_files else ():
+                    index.setdefault(name, []).append(i)
+        return self._postings[min_files]
 
 
 def parse_submodule_manifest(content: str, diag: Diagnostics | None = None) -> list[str]:
@@ -73,25 +93,47 @@ def parse_submodule_manifest(content: str, diag: Diagnostics | None = None) -> l
     return paths
 
 
-def _collect_dir_names(root: Path) -> tuple[dict[str, set[str]], dict[str, bool]]:
-    """Per directory (relative to root): all file base names below it, and
-    whether any of those files is a source/header."""
+def walk_tree(
+    root: str | Path, diag: Diagnostics | None = None, client: str | None = None
+) -> Iterator[WalkEntry]:
+    """Walk root top-down as os.walk does, with names sorted, yielding WalkEntries.
+
+    Symlinked directories are listed but never descended. A directory that
+    cannot be listed is left out, with a `dir_unreadable` event.
+    """
+    base = str(Path(root))
+    stack = [(".", "" if base == "." else os.path.join(base, ""))]
+    while stack:
+        rel, path = stack.pop()
+        sub = "" if rel == "." else rel + "/"
+        dirs, files, descend = [], [], []
+        try:
+            with os.scandir(path or ".") as entries:
+                for entry in sorted(entries, key=lambda e: e.name):
+                    try:
+                        is_dir = entry.is_dir()
+                    except OSError:
+                        is_dir = False
+                    (dirs if is_dir else files).append(entry.name)
+                    if is_dir and not entry.is_symlink():
+                        descend.append((sub + entry.name, path + entry.name + "/"))
+        except OSError as exc:
+            if diag:
+                diag.emit("dir_unreadable", client=client, path=rel, error=str(exc))
+            continue
+        yield rel, dirs, files, path
+        stack += reversed(descend)
+
+
+def _dir_names(listing: list[WalkEntry]) -> dict[str, set[str]]:
+    """Per listed directory: the names of all files below it, recursively."""
     names: dict[str, set[str]] = {}
-    has_source: dict[str, bool] = {}
-    for dirpath, _dirnames, filenames in os.walk(root):
-        rel_dir = Path(dirpath).relative_to(root).as_posix()
-        names.setdefault(rel_dir, set())
-        has_source.setdefault(rel_dir, False)
-        for fname in filenames:
-            is_source = Path(fname).suffix.lower() in SOURCE_EXTENSIONS
-            current = rel_dir
-            while True:
-                names.setdefault(current, set()).add(fname)
-                has_source[current] = has_source.get(current, False) or is_source
-                if current == ".":
-                    break
-                current = current.rsplit("/", 1)[0] if "/" in current else "."
-    return names, has_source
+    for rel, dirs, files, _ in reversed(listing):  # every directory after its subdirectories
+        below = names[rel] = set(files)
+        sub = "" if rel == "." else rel + "/"
+        for d in dirs:
+            below.update(names.get(sub + d, ()))
+    return names
 
 
 def build_library_inventory(source_roots: list[str] | tuple[str, ...]) -> LibraryInventory:
@@ -99,29 +141,10 @@ def build_library_inventory(source_roots: list[str] | tuple[str, ...]) -> Librar
     dirs: dict[str, frozenset[str]] = {}
     for root_str in source_roots:
         root = Path(root_str)
-        names, has_source = _collect_dir_names(root)
-        for rel, file_names in names.items():
-            if not file_names or not has_source.get(rel, False):
-                continue
-            key = str(root) if rel == "." else f"{root}/{rel}"
-            dirs[key] = frozenset(file_names)
+        for rel, names in _dir_names(list(walk_tree(root))).items():
+            if any(map(is_source_name, names)):
+                dirs[str(root) if rel == "." else f"{root}/{rel}"] = frozenset(names)
     return LibraryInventory(dirs=dirs)
-
-
-def _overlap_qualifies(
-    client_names: frozenset[str] | set[str],
-    inv: LibraryInventory,
-    threshold: float,
-    min_lib_files: int,
-) -> bool:
-    if not client_names:
-        return False
-    for lib_names in inv.dirs.values():
-        if len(lib_names) < min_lib_files:
-            continue
-        if len(client_names & lib_names) / len(client_names) >= threshold:
-            return True
-    return False
 
 
 def select_vendored(
@@ -136,31 +159,18 @@ def select_vendored(
     min_lib_files files covers >= threshold of the client directory's file
     names. Once a directory qualifies, its subdirectories are subsumed.
     """
+    if not any(len(names) >= min_lib_files for names in inv.dirs.values()):
+        return set()
+    postings = inv.postings(min_lib_files)
     excluded: set[str] = set()
     for rel in sorted(client_dir_names, key=lambda p: (0 if p == "." else p.count("/") + 1, p)):
-        if any(rel == ex or rel.startswith(ex + "/") for ex in excluded if ex != "."):
+        if "." in excluded or any(rel == ex or rel.startswith(ex + "/") for ex in excluded):
             continue
-        if "." in excluded and rel != ".":
-            continue
-        if _overlap_qualifies(client_dir_names[rel], inv, threshold, min_lib_files):
+        names = client_dir_names[rel]
+        hits = Counter(chain.from_iterable(map(postings.__getitem__, postings.keys() & names)))
+        if names and max(hits.values(), default=0) / len(names) >= threshold:
             excluded.add(rel)
     return excluded
-
-
-def detect_vendored_dirs(
-    client_root: str | Path,
-    inv: LibraryInventory,
-    threshold: float = DEFAULT_OVERLAP_THRESHOLD,
-    min_lib_files: int = DEFAULT_MIN_LIB_FILES,
-) -> set[str]:
-    """Client directories (relative paths) holding a vendored library copy."""
-    names, _ = _collect_dir_names(Path(client_root))
-    return select_vendored(names, inv, threshold, min_lib_files)
-
-
-def _inside_root(rel: str) -> bool:
-    p = PurePosixPath(rel)
-    return not p.is_absolute() and ".." not in p.parts
 
 
 def prepare_client(
@@ -189,43 +199,30 @@ def prepare_client(
     if manifest.is_file():
         for sub in parse_submodule_manifest(manifest.read_text(errors="replace"), diag):
             rel = PurePosixPath(sub).as_posix().rstrip("/")
-            if not _inside_root(rel):
+            if rel.startswith("/") or ".." in rel.split("/"):
                 if diag:
                     diag.emit("submodule_outside_root", client=client_id, path=sub)
                 continue
             excluded_dirs.add(rel)
             rules[rel] = "submodule"
 
-    for rel in detect_vendored_dirs(root_path, inv, threshold, min_lib_files):
+    listing = list(walk_tree(root_path, diag, client_id))
+    for rel in select_vendored(_dir_names(listing), inv, threshold, min_lib_files):
         if rel not in excluded_dirs:
             excluded_dirs.add(rel)
             rules[rel] = "overlap"
 
-    excluded_files: set[str] = set()
-    if spec.explicit_file_excludes:
-        wanted = set(spec.explicit_file_excludes)
-        for dirpath, _dirnames, filenames in os.walk(root_path):
-            rel_dir = Path(dirpath).relative_to(root_path).as_posix()
-            for fname in sorted(filenames):
-                if fname in wanted:
-                    rel = fname if rel_dir == "." else f"{rel_dir}/{fname}"
-                    excluded_files.add(rel)
-                    rules[rel] = "explicit"
+    wanted = set(spec.explicit_file_excludes)
+    for rel_dir, _, files, _ in listing:
+        for fname in wanted.intersection(files):
+            rules[fname if rel_dir == "." else f"{rel_dir}/{fname}"] = "explicit"
+    excluded_files = {rel for rel, rule in rules.items() if rule == "explicit"}
 
     if diag:
-        diag.emit(
-            "client_prepared",
-            client=client_id,
-            excluded_dirs=len(excluded_dirs),
-            excluded_files=len(excluded_files),
-        )
-    return ClientRecord(
-        client_id=client_id,
-        root=str(root_path),
-        excluded_dirs=frozenset(excluded_dirs),
-        excluded_files=frozenset(excluded_files),
-        rules=rules,
-    )
+        diag.emit("client_prepared", client=client_id, excluded_dirs=len(excluded_dirs),
+                  excluded_files=len(excluded_files))
+    return ClientRecord(client_id=client_id, root=str(root_path), excluded_dirs=frozenset(excluded_dirs),
+                        excluded_files=frozenset(excluded_files), rules=rules, listing=listing)
 
 
 def prep_report_dict(rec: ClientRecord) -> dict:

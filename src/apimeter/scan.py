@@ -16,11 +16,10 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .catalog import SOURCE_EXTENSIONS, ApiCatalog
-from .clientprep import ClientRecord
+from .catalog import ApiCatalog, is_source_name
+from .clientprep import ClientRecord, walk_tree
 from .diagnostics import Diagnostics
 
 DEFAULT_FILE_CAP_BYTES = 16 * 1024 * 1024
@@ -31,8 +30,7 @@ DEFAULT_FILE_CAP_BYTES = 16 * 1024 * 1024
 _LINE_DROP = re.compile(r"//|/\*|^\s\*")
 
 
-@dataclass(frozen=True)
-class UseSite:
+class UseSite(NamedTuple):
     file: str
     line: int
     api: str
@@ -221,15 +219,15 @@ def scan_sources(
         else:
             prepared = blank_comments_and_strings(text, diag)
         if options.collect_sites:
-            for api, line in _call_sites(prepared, reversed_names, pattern):
-                sites.append(UseSite(file=rel_path, line=line, api=api))
+            found_sites = _call_sites(prepared, reversed_names, pattern)
+            sites += [UseSite(rel_path, line, api) for api, line in found_sites]
         else:
             found.update(filter(reversed_names.__contains__, pattern.findall(prepared[::-1])))
     if options.collect_sites:
         uses = dict(Counter(site.api for site in sites))
     else:
         uses = {name[::-1]: n for name, n in found.items()}
-    return uses, sorted(sites, key=lambda s: (s.file, s.line, s.api))
+    return uses, sorted(sites)
 
 
 def iter_client_sources(
@@ -237,38 +235,41 @@ def iter_client_sources(
     options: ScanOptions = ScanOptions(),
     diag: Diagnostics | None = None,
 ) -> Iterator[tuple[str, str]]:
-    """Walk a prepared checkout, yielding scannable (relative path, text)."""
-    root = Path(rec.root)
-    skip_dirs = set(rec.excluded_dirs)
-    if "." in skip_dirs:
+    """Yield scannable (relative path, text) of a prepared checkout, in walk order.
+
+    Reads the listing `prepare_client` took; a record without one (built by
+    hand) is walked here. Excluded directories are pruned and excluded files
+    skipped as the walk reaches them, each with an event.
+    """
+    if "." in rec.excluded_dirs:
         return
-    for dirpath, dirnames, filenames in os.walk(root):
-        rel_dir = Path(dirpath).relative_to(root).as_posix()
-        dirnames.sort()
-        kept = []
-        for d in dirnames:
-            rel = d if rel_dir == "." else f"{rel_dir}/{d}"
-            if rel in skip_dirs:
+    pruned: set[str] = set()
+    listing = rec.listing if rec.listing is not None else walk_tree(rec.root, diag, rec.client_id)
+    for rel_dir, dirs, files, path in listing:
+        sub = "" if rel_dir == "." else rel_dir + "/"
+        if rel_dir in pruned:
+            pruned.update(sub + d for d in dirs)
+            continue
+        for d in dirs:
+            if sub + d in rec.excluded_dirs:
+                pruned.add(sub + d)
                 if diag:
-                    diag.emit("dir_excluded", client=rec.client_id, path=rel)
-            else:
-                kept.append(d)
-        dirnames[:] = kept
-        for fname in sorted(filenames):
-            if Path(fname).suffix.lower() not in SOURCE_EXTENSIONS:
+                    diag.emit("dir_excluded", client=rec.client_id, path=sub + d)
+        for fname in files:
+            if not is_source_name(fname):
                 continue
-            rel = fname if rel_dir == "." else f"{rel_dir}/{fname}"
+            rel = sub + fname
             if rel in rec.excluded_files:
                 if diag:
                     diag.emit("file_excluded", client=rec.client_id, path=rel)
                 continue
-            full = Path(dirpath) / fname
             try:
-                if full.stat().st_size > options.file_cap_bytes:
+                if os.stat(path + fname).st_size > options.file_cap_bytes:
                     if diag:
                         diag.emit("file_too_large", client=rec.client_id, path=rel)
                     continue
-                text = full.read_bytes().decode("utf-8", errors="replace")
+                with open(path + fname, "rb") as fh:
+                    text = fh.read().decode("utf-8", errors="replace")
             except OSError as exc:
                 if diag:
                     diag.emit("file_unreadable", client=rec.client_id, path=rel, error=str(exc))

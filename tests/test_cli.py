@@ -144,6 +144,32 @@ def test_scan_diagnostics_reach_stderr_same_for_jobs(workspace, capsys):
     assert capsys.readouterr().err == serial
 
 
+def test_scan_reports_unreadable_dir_same_for_jobs(workspace, capsys, monkeypatch):
+    # Root can list a chmod 000 directory, so listing one is made to fail;
+    # `--jobs` workers are forked, so they inherit the patched os.scandir.
+    cfg, out = workspace
+    main(["catalog", "--config", str(cfg)])
+    real_scandir = os.scandir
+
+    def scandir(path="."):
+        if os.fspath(path).rstrip("/").endswith("clients/gamma/src"):
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", scandir)
+    capsys.readouterr()
+    main(["scan", "--config", str(cfg), "--library", "tinykv"])
+    serial = capsys.readouterr().err
+    events = [json.loads(line) for line in serial.splitlines()]
+    unreadable = [e for e in events if e["event"] == "dir_unreadable"]
+    assert [(e["client"], e["path"]) for e in unreadable] == [("gamma", "src")]
+    assert "Permission denied" in unreadable[0]["error"]
+    # The unlisted directory's explicit exclude is neither found nor reported.
+    assert not any(e["event"] == "file_excluded" for e in events)
+    main(["scan", "--config", str(cfg), "--library", "tinykv", "--jobs", "2"])
+    assert capsys.readouterr().err == serial
+
+
 def test_scan_jobs_parity_sites_loose(workspace, capsys):
     cfg, out = workspace
     main(["catalog", "--config", str(cfg)])

@@ -6,7 +6,6 @@ from apimeter.catalog import LibrarySpec
 from apimeter.clientprep import (
     LibraryInventory,
     build_library_inventory,
-    detect_vendored_dirs,
     parse_submodule_manifest,
     prepare_client,
     select_vendored,
@@ -85,17 +84,6 @@ def test_empty_client_dir_never_excluded():
     assert select_vendored({"v": set()}, _inv("a.c", "b.c", "c.c")) == set()
 
 
-def test_detect_on_golden_beta():
-    inv = build_library_inventory([str(GOLDEN / "libsrc")])
-    found = detect_vendored_dirs(GOLDEN / "clients" / "beta", inv)
-    assert found == {"vendor/tinykv"}
-
-
-def test_detect_on_golden_gamma_75_pct_stays():
-    inv = build_library_inventory([str(GOLDEN / "libsrc")])
-    assert detect_vendored_dirs(GOLDEN / "clients" / "gamma", inv) == set()
-
-
 def _golden_spec_local(so="unused.so"):
     return LibrarySpec(
         name="tinykv",
@@ -104,6 +92,20 @@ def _golden_spec_local(so="unused.so"):
         source_roots=(str(GOLDEN / "libsrc"),),
         explicit_file_excludes=("tinykv_amalg.c",),
     )
+
+
+def test_detect_on_golden_beta():
+    inv = build_library_inventory([str(GOLDEN / "libsrc")])
+    rec = prepare_client("beta", GOLDEN / "clients" / "beta", _golden_spec_local(), inv)
+    assert {p for p, rule in rec.rules.items() if rule == "overlap"} == {"vendor/tinykv"}
+    assert rec.excluded_dirs == frozenset({"vendor/tinykv"})
+
+
+def test_detect_on_golden_gamma_75_pct_stays():
+    inv = build_library_inventory([str(GOLDEN / "libsrc")])
+    rec = prepare_client("gamma", GOLDEN / "clients" / "gamma", _golden_spec_local(), inv)
+    assert {p for p, rule in rec.rules.items() if rule == "overlap"} == set()
+    assert rec.excluded_dirs == frozenset()
 
 
 def test_prepare_client_missing_root(tmp_path):
