@@ -178,6 +178,35 @@ EDGE_CASES = [
     "A-B:x",
     ":x",
     "DA",
+    # clean "\n"-only records: FN lines after the DA run, DA runs split by LF and FN,
+    # a repeated path and repeated lines, the widest counts and line numbers
+    "TN:t\nSF:a.c\nDA:1,1\nDA:2,0\nFN:1,2,f\nFNDA:1,f\nFN:3,g\nend_of_record\n",
+    "SF:a.c\nFN:1,f\nDA:1,1\nLF:2\nDA:2,0\nFN:3,g\nDA:3,1\nend_of_record\n",
+    "SF:a.c\nDA:1,1\nDA:1,2\nDA:2,0\nend_of_record\nSF:b.c\nDA:1,1\nend_of_record\n"
+    "SF:a.c\nDA:2,4\nDA:3,0\nFN:2,f\nend_of_record\n",
+    f"SF:a.c\nDA:1,{10**18 - 1}\nDA:{10**18 - 1},1\nDA:1,{10**18 - 1}\nend_of_record\n",
+    f"SF:a.c\nDA:1,{10**18}\nDA:2,{10**19 - 1}\nDA:{10**18},1\nend_of_record\n",
+    f"SF:a.c\nFN:{10**17},{10**18 - 1},f\nFN:{10**18},g\nDA:1,1\nend_of_record\n",
+    "SF:a.c\nDA:1,1,abc\nDA:2,0,\nDA:3,1, x\nend_of_record",
+    "\nTN:\nLF:1\n\nSF:a b.c\nFN:1,f g\nDA:1,1\nend_of_record\n\nTN:x\n",
+    # clean records holding one odd line
+    "SF:a.c\nDA:" + "9" * 5000 + ",1\nend_of_record\n",
+    "SF:a.c\nDA:1," + "9" * 5000 + "\nend_of_record\n",
+    "SF:a.c\nFN:" + "9" * 5000 + ",f\nDA:1,1\nend_of_record\n",
+    "SF:a.c\nDA:1,1\nFN:1," + "9" * 5000 + ",f\nend_of_record\n",
+    "SF:a.c\nDA:1,1 \nDA:2,1\nend_of_record\n",
+    "SF:a.c\nDA:1,1\nFN:1,f\xa0\nend_of_record\n",
+    "SF:a.c\nDA:1,1\nend_of_record\x1f\nSF:b.c\nDA:1,1\nend_of_record\n",
+    "SF:a.c\nVER:2\nDA:1,1\nend_of_record\nSF:b.c\nDA:1,1\nend_of_record\n",
+    "SF:a.c\nDA:1,1\nDA:٣,1\nend_of_record\n",
+    "SF:a.c\nDA:1_0,1\nend_of_record\n",
+    "SF:a.c\nDA:007,1\nDA:7,1\nend_of_record\n",
+    "SF:a.c\nDA:1,1\nFN:1,2,3,f\nend_of_record\n",
+    "SF:a.c\nFNDA:1\nDA:1,1\nend_of_record\n",
+    "SF:a.c\nDA:1,1\nDA:1,-1\nend_of_record\n",
+    "SF:a.c\nDA:1,1\nend_of_record\nend_of_record\nSF:b.c\nDA:1,1\nend_of_record\n",
+    "SF:a.c\nDA:1,1\nend_of_record\nSF:a\x85b.c\nDA:1,1\nend_of_record\n",
+    "SF:a.c\nDA:1,1\nend_of_record\nSF:a\u2028b.c\nDA:1,1\nend_of_record\n",
 ]
 
 _COMPANION = "SF:a.c\nFN:1,3,f\nFN:5,g\nDA:1,1\nDA:2,0\nDA:5,1\nDA:6,0\nend_of_record"
@@ -256,3 +285,69 @@ def test_generated_runs_match_reference(texts):
 @given(_any_texts)
 def test_generated_text_parses_like_reference(text):
     _assert_same([text])
+
+
+# --- generated clean records -------------------------------------------------------
+# Unpadded, "\n"-only records: the shape real tracefiles have, and the shape a
+# record-at-a-time parser takes in one step. About 30% of records carry one odd
+# line that must send the parse down the line-by-line path without changing a
+# count, a function, an event or an error.
+
+_clean_lines = st.one_of(_lines, _lines, _lines, st.sampled_from([10**17, 10**18 - 1]))
+_clean_counts = st.one_of(
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=10**18 - 1),
+    st.sampled_from([10**17, 10**18 - 1]),
+)
+_da = st.one_of(
+    st.builds("DA:{},{}".format, _clean_lines, _clean_counts),
+    st.builds("DA:{},{}".format, _clean_lines, _clean_counts),
+    st.builds("DA:{},{},{}".format, _clean_lines, _clean_counts, st.sampled_from(["abc", "", "x,y", "q r"])),
+)
+_around_da = st.one_of(
+    st.builds("FN:{},{}".format, _clean_lines, _names),
+    st.builds("FN:{},{},{}".format, _clean_lines, _clean_lines, _names),
+    st.builds("FNDA:{},{}".format, _counts, _names),
+    st.sampled_from(["LF:3", "LH:1", "BRDA:1,0,0,1", "FNF:2", "FNH:1", "TN:t"]),
+)
+_digits = "9" * 5000
+_odd = st.one_of(
+    st.sampled_from(
+        [f"DA:{_digits},1", f"DA:1,{_digits}", f"FN:{_digits},f", f"FN:1,{_digits},f",
+         f"DA:{10**18},1", f"DA:1,{10**18}", f"DA:1,{MAX}", f"DA:2,{10**19 - 1}", f"FN:{10**18},f",
+         f"FN:1,{10**19 - 1},g", "VER:2", "DA:٣,1", "DA:1_0,1", "DA:007,1", "FN:1,2,3,f", "FNDA:1",
+         "DA:1,-1", "end_of_record"]
+    ),
+    st.builds("{}{}".format, st.one_of(_da, _around_da), st.sampled_from([" ", "\xa0", "\x1f"])),
+)
+
+
+@st.composite
+def _clean_record(draw):
+    path = draw(st.sampled_from(["a.c", "b.c", "dir/c.c"]))
+    head = draw(st.lists(_around_da, max_size=4))
+    run = draw(st.lists(_da, max_size=10))
+    tail = draw(st.lists(_around_da, max_size=4))
+    body = head + run + tail
+    if draw(st.booleans()):
+        body = list(draw(st.permutations(body)))  # FN after DA, DA runs split
+    if draw(st.integers(min_value=0, max_value=9)) < 3:
+        if draw(st.integers(min_value=0, max_value=5)) == 0:
+            path = path[:1] + draw(st.sampled_from(["\x85", "\u2028"])) + path[1:]
+        else:
+            body.insert(draw(st.integers(min_value=0, max_value=len(body))), draw(_odd))
+    prelude = draw(st.lists(st.sampled_from(["", "TN:", "TN:t", "LF:1"]), max_size=2))
+    return [*prelude, "SF:" + path, *body, "end_of_record"]
+
+
+@st.composite
+def _clean_texts(draw):
+    lines = [line for record in draw(st.lists(_clean_record(), max_size=4)) for line in record]
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "\n", ""]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_clean_texts(), min_size=1, max_size=3))
+def test_generated_clean_records_match_reference(texts):
+    _assert_same(texts)
