@@ -492,6 +492,34 @@ def test_coverage_parse_error_has_file_and_line(workspace, tmp_path, capsys):
     assert "bad.info" in err and "line 2" in err
 
 
+def test_coverage_accepts_byte_order_mark(workspace, tmp_path):
+    cfg, out = workspace
+    main(["catalog", "--config", str(cfg)])
+    plain = GOLDEN / "tracefile_library.info"
+    args = ["coverage", "--config", str(cfg), "--library", "tinykv"]
+    assert main([*args, str(plain)]) == 0
+    want = (out / "catalog_tinykv.json").read_bytes()
+    marked = tmp_path / "bom.info"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert main([*args, str(marked)]) == 0
+    assert (out / "catalog_tinykv.json").read_bytes() == want
+
+
+@pytest.mark.parametrize("line", [1, 3])
+def test_coverage_byte_order_mark_past_the_start_is_an_error(workspace, tmp_path, capsys, line):
+    cfg, _ = workspace
+    main(["catalog", "--config", str(cfg)])
+    lines = (GOLDEN / "tracefile_library.info").read_text().splitlines(keepends=True)
+    lines[line - 1] = "\ufeff" + lines[line - 1]
+    marked = tmp_path / "bom.info"
+    marked.write_text("".join(lines), encoding="utf-8-sig")  # plus a leading mark
+    capsys.readouterr()
+    assert main(["coverage", "--config", str(cfg), "--library", "tinykv", str(marked)]) == 1
+    err = capsys.readouterr().err
+    assert "MalformedDirectiveError" in err
+    assert f"bom.info:line {line}: unrecognized line: '\\ufeff" in err
+
+
 def _bad_tracefile(tmp_path, kind):
     if kind == "missing":
         return tmp_path / "missing.info"
