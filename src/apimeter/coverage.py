@@ -106,8 +106,7 @@ def _add_function(index: _FunctionIndex, fc: FileCoverage, name: str, start: int
 
 # Any line boundary str.splitlines honours besides "\n": a text holding one is
 # parsed line by line throughout.
-_ODD_BREAKS = "\r\v\f\x1c\x1d\x1e"
-_ODD_BREAK = "[\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]"
+_ODD_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 # One well-formed record, validated in a single match. Lines carry no padding;
 # a numeric field is ASCII digits with no sign, underscore or leading zero, and
@@ -115,13 +114,13 @@ _ODD_BREAK = "[\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]"
 _NUM = "[1-9][0-9]{0,17}"
 _IGNORED_LINE = "(?:" + "|".join(d[:-1] for d in _IGNORED) + r"):(?:[^\n]*\S)?"
 _FN_LINE = rf"FN:{_NUM},(?:{_NUM},)?[^,\n]*[^,\s]"
-_FNDA_LINE = r"FNDA:[^\n]*,(?:[^\n]*\S)?"
+_FNDA_LINE = r"FNDA:[^,\n]*,(?:[^\n]*\S)?"
 _DA_LINE = rf"DA:{_NUM},(?:0|{_NUM})(?:,(?:[^\n]*\S)?)?\n"
-_BODY = rf"(?:(?:{_FN_LINE}|{_FNDA_LINE}|{_IGNORED_LINE})?\n)*+"
+_BODY = rf"(?:(?:{_FN_LINE}|{_FNDA_LINE}|{_IGNORED_LINE})?\n)*"
 _RECORD = (
-    rf"(?:(?:{_IGNORED_LINE})?\n)*+"  # blank, TN and other ignored lines
+    rf"(?:(?:{_IGNORED_LINE})?\n)*"  # blank, TN and other ignored lines
     rf"SF:(?P<path>\S(?:[^\n]*\S)?)\n{_BODY}"
-    rf"(?:(?P<da>(?:{_DA_LINE})++){_BODY})?"  # one contiguous run of DA lines
+    rf"(?:(?P<da>(?:{_DA_LINE})+){_BODY})?"  # one contiguous run of DA lines
     r"end_of_record(?:\n|\Z)"
 )
 # Within a record _RECORD accepted, every FN line and its fields.
@@ -143,11 +142,9 @@ def parse_tracefile(content: str, diag: Diagnostics | None = None) -> Tracefile:
     """
     records: dict[str, FileCoverage] = {}
     functions: _FunctionIndex = {}
-    if content.isascii():
-        odd = any(c in content for c in _ODD_BREAKS)
-    else:
-        odd = re.search(_ODD_BREAK, content) is not None
-    if odd:
+    # `in` returns at once for a character too wide for the text's storage, so
+    # ASCII text is searched only for the one-byte breaks.
+    if any(c in content for c in _ODD_BREAKS):
         _parse_lines(content, 1, records, functions, diag)
         return Tracefile(records=list(records.values()))
 
@@ -183,14 +180,8 @@ def _add_record(
         run = re.sub(_DA_CHECKSUM, r"\1", run)
     # The C JSON decoder turns the whole run into ints: line, count, line, count, ...
     values = json.loads("[" + run[3:-1].replace("\nDA:", ",") + "]")
-    lines, hits = values[::2], values[1::2]
     counts = fc.line_counts
-    if not counts:
-        counts.update(zip(lines, hits))
-        if len(counts) == len(lines):
-            return
-        counts.clear()  # a line repeats: sum it below
-    for lineno, count in zip(lines, hits):
+    for lineno, count in zip(values[::2], values[1::2]):
         if lineno in counts:
             count += counts[lineno]
         counts[lineno] = count if count < MAX_COUNT else MAX_COUNT

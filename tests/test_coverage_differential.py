@@ -207,6 +207,9 @@ EDGE_CASES = [
     "SF:a.c\nDA:1,1\nend_of_record\nend_of_record\nSF:b.c\nDA:1,1\nend_of_record\n",
     "SF:a.c\nDA:1,1\nend_of_record\nSF:a\x85b.c\nDA:1,1\nend_of_record\n",
     "SF:a.c\nDA:1,1\nend_of_record\nSF:a\u2028b.c\nDA:1,1\nend_of_record\n",
+    # long comma-heavy FNDA lines, padded and clean
+    "SF:a.c\nFNDA:1" + ",f" * 5000 + " \nDA:1,1\nend_of_record\n",
+    "SF:a.c\nFNDA:1" + ",f" * 5000 + "\nDA:1,1\nend_of_record\n",
 ]
 
 _COMPANION = "SF:a.c\nFN:1,3,f\nFN:5,g\nDA:1,1\nDA:2,0\nDA:5,1\nDA:6,0\nend_of_record"
