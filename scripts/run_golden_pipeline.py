@@ -13,9 +13,10 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(REPO / "tests"))  # the fixture ELF writer lives beside the tests
 
 from apimeter.cli import main as cli_main
-from apimeter.elfsynth import data_object, function, local_function, write_shared_object
+from elfsynth import data_object, function, local_function, write_shared_object
 
 GOLDEN = REPO / "tests" / "fixtures" / "golden"
 APIS = ["tk_open", "tk_close", "tk_put", "tk_get", "tk_delete", "tk_stat"]

@@ -22,7 +22,6 @@ from .errors import (
     DependencyDbError,
     InputFileError,
     MalformedDirectiveError,
-    MissingCatalogError,
     MissingInputsError,
 )
 
@@ -116,7 +115,7 @@ def load_config(path: str | Path) -> RunConfig:
 def load_dependency_db(path: str | Path) -> list[DependencyEntry]:
     def parse(doc: list) -> list[DependencyEntry]:
         entries = []
-        seen = set()
+        seen: dict[tuple[str, str], str] = {}  # (library, client slug) -> client
         for i, item in enumerate(doc):
             if not isinstance(item, dict) or "client" not in item or "library" not in item:
                 raise DependencyDbError(
@@ -129,10 +128,18 @@ def load_dependency_db(path: str | Path) -> list[DependencyEntry]:
             entry = DependencyEntry(
                 client=item["client"], source=item.get("source", ""), library=item["library"]
             )
-            key = (entry.client, entry.library)
+            # Per-client artifacts are named by slug, so two clients sharing one would overwrite each other.
+            key = (entry.library, _slug(entry.client))
             if key in seen:
-                raise DependencyDbError(f"dependency db {path}: duplicate (client, library) pair: {key}")
-            seen.add(key)
+                other = seen[key]
+                problem = (
+                    f"duplicate (client, library) pair: {(entry.client, entry.library)}"
+                    if other == entry.client
+                    else f"clients {other!r} and {entry.client!r} of {entry.library!r}"
+                    f" share the artifact name {key[1]!r}"
+                )
+                raise DependencyDbError(f"dependency db {path}: {problem}")
+            seen[key] = entry.client
             entries.append(entry)
         return entries
 
@@ -159,11 +166,11 @@ def reports_dir(config: RunConfig, library: str) -> Path:
     return Path(config.output_dir) / "reports" / _slug(library)
 
 
-def _load_catalog_or_fail(config: RunConfig, library: str) -> ApiCatalog:
-    path = catalog_path(config, library)
+def _stage_input(path: Path, stage: str) -> Path:
+    """`path`, which the `stage` command writes; an error naming both if it is missing."""
     if not path.is_file():
-        raise MissingCatalogError(f"no catalog for {library}; run `catalog` first ({path})")
-    return load_catalog(path)
+        raise MissingInputsError(f"missing {path} (run `{stage}` first)")
+    return path
 
 
 def usage_report_dict(report: scan.UsageReport) -> dict:
@@ -278,7 +285,7 @@ def _scan_in_worker(
 def cmd_scan(config: RunConfig, library: str, diag: Diagnostics, collect_sites: bool = False) -> int:
     if config.dependency_db is None or config.clients_root is None:
         raise ConfigError("scan requires dependency_db and clients_root in the configuration")
-    catalog = _load_catalog_or_fail(config, library)
+    catalog = load_catalog(_stage_input(catalog_path(config, library), "catalog"))
     spec = config.spec_for(library)
     inv = clientprep.build_library_inventory(spec.source_roots)
     entries = [e for e in load_dependency_db(config.dependency_db) if e.library == library]
@@ -312,15 +319,12 @@ def cmd_scan(config: RunConfig, library: str, diag: Diagnostics, collect_sites: 
     for rec, report, events in results:
         for event in events:
             diag.emit(**event)
-        slug = _slug(rec.client_id)
-        artifacts.write_json(out_dir / f"prep_{_slug(library)}_{slug}.json", clientprep.prep_report_dict(rec))
-        payload = usage_report_dict(report)
+        stem = f"{_slug(library)}_{_slug(rec.client_id)}"
+        artifacts.write_json(out_dir / f"prep_{stem}.json", clientprep.prep_report_dict(rec))
+        artifacts.write_json(out_dir / f"usage_{stem}.json", usage_report_dict(report))
         if report.sites is not None:
-            listing = [f"{s.file}:{s.line}:{s.api}" for s in report.sites]
-            payload["sites"] = listing
-            sites_path = out_dir / f"usage_{_slug(library)}_{slug}.sites.txt"
-            artifacts.write_text(sites_path, "".join(line + "\n" for line in listing))
-        artifacts.write_json(out_dir / f"usage_{_slug(library)}_{slug}.json", payload)
+            listing = "".join(f"{s.file}:{s.line}:{s.api}\n" for s in report.sites)
+            artifacts.write_text(out_dir / f"usage_{stem}.sites.txt", listing)
 
     agg = scan.aggregate_reports(library, len(catalog.apis), [r for _, r, _ in results])
     artifacts.write_json(corpus_path(config, library), corpus_dict(agg, skipped))
@@ -342,7 +346,7 @@ def cmd_coverage(
     diag: Diagnostics,
     tcov_excludes: list[str] | None = None,
 ) -> int:
-    catalog = _load_catalog_or_fail(config, library)
+    catalog = load_catalog(_stage_input(catalog_path(config, library), "catalog"))
 
     def parse_path(p: str) -> coverage.Tracefile:
         try:
@@ -383,12 +387,8 @@ def cmd_coverage(
 
 
 def cmd_report(config: RunConfig, library: str, diag: Diagnostics) -> int:
-    cat_path = catalog_path(config, library)
-    if not cat_path.is_file():
-        raise MissingInputsError(f"missing catalog artifact: {cat_path} (run `catalog`)")
-    agg_path = corpus_path(config, library)
-    if not agg_path.is_file():
-        raise MissingInputsError(f"missing scan aggregate: {agg_path} (run `scan`)")
+    cat_path = _stage_input(catalog_path(config, library), "catalog")
+    agg_path = _stage_input(corpus_path(config, library), "scan")
     catalog = load_catalog(cat_path)
     agg = artifacts.load_json(agg_path, "usage corpus", corpus_from_dict)
 

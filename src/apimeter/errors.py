@@ -59,12 +59,8 @@ class ReportIoError(ApimeterError):
     """An artifact or report file, or its directory, could not be written; names the path."""
 
 
-class MissingCatalogError(ApimeterError):
-    """A command requires a persisted catalog that does not exist."""
-
-
 class MissingInputsError(ApimeterError):
-    """A command requires an artifact from an earlier stage; names the gap."""
+    """A command requires an artifact from an earlier stage; names the file and that stage."""
 
 
 class DependencyDbError(ApimeterError):

@@ -120,11 +120,6 @@ def unused_apis(agg: CorpusAggregate, catalog: ApiCatalog) -> UnusedApisRow:
     )
 
 
-def sort_unused_rows(rows: list[UnusedApisRow]) -> list[UnusedApisRow]:
-    """Descending by unused percentage; name ascending breaks ties."""
-    return sorted(rows, key=lambda r: (-r.unused_pct, r.library))
-
-
 def client_utilisation_distribution(agg: CorpusAggregate) -> UtilisationSummary:
     """Per-client utilisation percentages with a box-plot five-number summary."""
     if not agg.reports:

@@ -96,37 +96,26 @@ def _spaces(token: str) -> str:
 
 
 def blank_comments_and_strings(
-    source: str,
-    diag: Diagnostics | None = None,
-    *,
-    comments: bool = True,
-    strings: bool = True,
+    source: str, diag: Diagnostics | None = None, *, comments: bool = True
 ) -> str:
-    """Blank every non-newline character of comments and/or literals.
+    """Blank every non-newline character of string/char literals and, unless
+    `comments` is false, of comments.
 
     One pass of the tokenizer; line count and the columns of surviving code
-    are preserved. An unterminated block comment blanks through end of text
-    and emits a diagnostic.
+    are preserved. Comment markers inside literals are protected. An
+    unterminated block comment blanks through end of text and emits a
+    diagnostic.
     """
 
     def blank(m: re.Match) -> str:
         token = m.group()
         if token[0] != "/":
-            return _spaces(token) if strings else token
+            return _spaces(token)
         if diag is not None and token[1] == "*" and (len(token) < 4 or not token.endswith("*/")):
             diag.emit("unterminated_block_comment", at_line=source.count("\n", 0, m.start()) + 1)
         return _spaces(token) if comments else token
 
     return _TOKEN.sub(blank, source)
-
-
-def strip_comments(source: str, diag: Diagnostics | None = None) -> str:
-    """Blank comments, preserving line count and surviving column positions.
-
-    Comment markers inside string literals are protected; an unterminated
-    block comment blanks through end of file with a diagnostic.
-    """
-    return blank_comments_and_strings(source, diag, strings=False)
 
 
 def strip_comment_lines(source: str) -> str:
@@ -139,11 +128,6 @@ def strip_comment_lines(source: str) -> str:
     for line in source.split("\n"):
         out.append("" if _LINE_DROP.search(line) else line)
     return "\n".join(out)
-
-
-def mask_string_literals(source: str) -> str:
-    """Blank string/char literal contents (delimiters included)."""
-    return blank_comments_and_strings(source, comments=False)
 
 
 # --- call-site matching -------------------------------------------------------
@@ -180,17 +164,6 @@ def _call_sites(
     return found
 
 
-def find_api_uses(source: str, api: str, loose: bool = False) -> list[int]:
-    """Line numbers of call-shaped uses of one API in comment-stripped text.
-
-    String-literal occurrences are excluded; macro-body occurrences count.
-    Each occurrence is reported, so one line can contribute several.
-    """
-    masked = mask_string_literals(source)
-    pattern = _LOOSE_CALL if loose else _CALL
-    return [line for _, line in _call_sites(masked, {api[::-1]}, pattern)]
-
-
 @dataclass(frozen=True)
 class ScanOptions:
     paper_faithful: bool = False
@@ -215,7 +188,7 @@ def scan_sources(
     sites: list[UseSite] = []
     for rel_path, text in files:
         if options.paper_faithful:
-            prepared = mask_string_literals(strip_comment_lines(text))
+            prepared = blank_comments_and_strings(strip_comment_lines(text), comments=False)
         else:
             prepared = blank_comments_and_strings(text, diag)
         if options.collect_sites:

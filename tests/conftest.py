@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from apimeter import elfsynth
+import elfsynth
 from apimeter.catalog import ApiCatalog, LibrarySpec, build_catalog
+from apimeter.scan import ScanOptions, scan_sources
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -56,3 +57,10 @@ def make_catalog(names, library="lib") -> ApiCatalog:
     from apimeter.catalog import ApiSymbol
 
     return ApiCatalog(library=library, apis={n: ApiSymbol(name=n) for n in names})
+
+
+def call_lines(source: str, api: str, loose: bool = False, paper_faithful: bool = False) -> list[int]:
+    """Line of each call of `api` in one file's text, as the scanner's site listing reports it."""
+    options = ScanOptions(loose_call_match=loose, paper_faithful=paper_faithful, collect_sites=True)
+    _, sites = scan_sources([("f.c", source)], {api}, options)
+    return [site.line for site in sites]

@@ -14,13 +14,7 @@ import re
 from typing import Iterable, Iterator
 
 from apimeter.diagnostics import Diagnostics
-from apimeter.scan import (
-    ScanOptions,
-    UseSite,
-    blank_comments_and_strings,
-    mask_string_literals,
-    strip_comment_lines,
-)
+from apimeter.scan import ScanOptions, UseSite, blank_comments_and_strings, strip_comment_lines
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # One optional whitespace between name and '(' — never a newline, matching
@@ -53,11 +47,6 @@ def match_calls(
             yield name, line
 
 
-def find_api_uses(source: str, api: str, loose: bool = False) -> list[int]:
-    masked = mask_string_literals(source)
-    return [line for _, line in match_calls(masked, {api}, loose)]
-
-
 def scan_sources(
     files: Iterable[tuple[str, str]],
     api_names: frozenset[str] | set[str],
@@ -68,7 +57,7 @@ def scan_sources(
     sites: list[UseSite] = []
     for rel_path, text in files:
         if options.paper_faithful:
-            prepared = mask_string_literals(strip_comment_lines(text))
+            prepared = blank_comments_and_strings(strip_comment_lines(text), comments=False)
         else:
             prepared = blank_comments_and_strings(text, diag)
         for api, line in match_calls(prepared, api_names, options.loose_call_match, options.collect_sites):

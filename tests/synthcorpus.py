@@ -1,4 +1,4 @@
-"""Synthetic client corpora for benchmarks and demos.
+"""Synthetic client corpora for tests.
 
 Generates C-looking sources with a known mix of genuine calls, commented
 calls and string decoys, so scan throughput and correctness can be measured

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from apimeter.clientprep import LibraryInventory, build_library_inventory, prepare_client, select_vendored
 from apimeter.coverage import annotate_catalog_coverage, coverage_delta, merge_tracefiles, parse_tracefile
 from apimeter.metrics import coverage_buckets, precision_recall, size_buckets, unused_apis
-from apimeter.scan import ScanOptions, UsageReport, aggregate_reports, find_api_uses, scan_client, scan_sources, strip_comments
-from apimeter.synthcorpus import api_names, generate_client_tree
+from apimeter.scan import ScanOptions, UsageReport, aggregate_reports, blank_comments_and_strings, scan_client, scan_sources
+from synthcorpus import api_names, generate_client_tree
 from apimeter.clientprep import ClientRecord
-from conftest import GOLDEN, make_catalog
+from conftest import GOLDEN, call_lines, make_catalog
 
 HUNDRED_CASES = settings(max_examples=100, deadline=None)
 
@@ -195,7 +195,7 @@ _fragments = st.lists(
 @given(_fragments)
 def test_property_strip_comments_preserves_line_count(fragments):
     src = "".join(fragments)
-    assert strip_comments(src).count("\n") == src.count("\n")
+    assert blank_comments_and_strings(src).count("\n") == src.count("\n")
 
 
 @HUNDRED_CASES
@@ -212,7 +212,7 @@ def test_property_strip_comments_preserves_line_count(fragments):
 )
 def test_property_superstring_identifiers_never_match(api, decorations):
     lines = [f"{prefix}{api}{suffix}();" for prefix, suffix in decorations]
-    assert find_api_uses("\n".join(lines), api) == []
+    assert call_lines("\n".join(lines), api) == []
 
 
 _API_SET = frozenset({"tk_open", "tk_close", "tk_put"})

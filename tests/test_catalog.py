@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apimeter import elfsynth
+import elfsynth
 from apimeter.catalog import (
     ApiCatalog,
     ApiSymbol,

@@ -83,9 +83,9 @@ def test_catalog_missing_shared_object(tmp_path, capsys):
 
 
 def test_scan_requires_catalog(workspace, capsys):
-    cfg, _ = workspace
+    cfg, out = workspace
     assert main(["scan", "--config", str(cfg), "--library", "tinykv"]) == 1
-    assert "catalog" in capsys.readouterr().err
+    assert f"missing {out / 'catalog_tinykv.json'} (run `catalog` first)" in capsys.readouterr().err
 
 
 def test_scan_writes_per_client_and_corpus(workspace, oracle):
@@ -242,23 +242,33 @@ def test_scan_rejects_non_positive_min_lib_files(workspace, capsys, value):
     assert f"--min-lib-files must be >= 1: {value}" in capsys.readouterr().err
 
 
-def test_import_leaves_process_pool_unloaded():
+def _modules_after_importing_cli() -> set[str]:
     src = str(Path(apimeter.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, apimeter.cli; print('concurrent.futures.process' in sys.modules)"
+    probe = "import sys, apimeter.cli; print(' '.join(sys.modules))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return set(out.stdout.split())
+
+
+def test_import_leaves_process_pool_unloaded():
+    assert "concurrent.futures.process" not in _modules_after_importing_cli()
 
 
 def test_scan_sites_listing(workspace):
     cfg, out = workspace
     main(["catalog", "--config", str(cfg)])
     main(["scan", "--config", str(cfg), "--library", "tinykv", "--sites"])
-    usage = json.loads((out / "usage_tinykv_alpha.json").read_text())
-    assert "src/main.c:7:tk_open" in usage["sites"]
     listing = (out / "usage_tinykv_alpha.sites.txt").read_text().splitlines()
-    assert listing == usage["sites"]
+    assert "src/main.c:7:tk_open" in listing
     assert len(listing) == 7
+    assert "sites" not in json.loads((out / "usage_tinykv_alpha.json").read_text())
+
+
+def test_runtime_package_is_what_the_cli_imports():
+    # A module the CLI never imports (a fixture generator, a test-only helper) belongs in tests/.
+    package = Path(apimeter.__file__).resolve().parent
+    modules = {f"apimeter.{p.stem}" for p in package.glob("*.py") if p.stem not in ("__init__", "__main__")}
+    assert modules - _modules_after_importing_cli() == set()
 
 
 def test_coverage_command_annotates(workspace, oracle):
@@ -332,11 +342,25 @@ def test_coverage_baseline_augmented_writes_improvement(workspace, tmp_path):
     assert doc["new_api_lines_covered"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coverage", "--library", "tinykv", str(GOLDEN / "tracefile_library.info")],
+        ["report", "--library", "tinykv"],
+    ],
+    ids=["coverage", "report"],
+)
+def test_stage_without_catalog_names_it(workspace, capsys, argv):
+    cfg, out = workspace
+    assert main([*argv, "--config", str(cfg)]) == 1
+    assert f"missing {out / 'catalog_tinykv.json'} (run `catalog` first)" in capsys.readouterr().err
+
+
 def test_report_requires_scan_artifacts(workspace, capsys):
-    cfg, _ = workspace
+    cfg, out = workspace
     main(["catalog", "--config", str(cfg)])
     assert main(["report", "--config", str(cfg), "--library", "tinykv"]) == 1
-    assert "scan" in capsys.readouterr().err
+    assert f"missing {out / 'usage_tinykv_corpus.json'} (run `scan` first)" in capsys.readouterr().err
 
 
 def test_report_full_pipeline(workspace, oracle):
@@ -680,6 +704,25 @@ def test_dependency_db_rejects_duplicates(tmp_path):
     )
     with pytest.raises(DependencyDbError):
         load_dependency_db(db)
+
+
+def test_dependency_db_rejects_clients_sharing_an_artifact_name(workspace, tmp_path, capsys):
+    cfg, out = workspace
+    db = tmp_path / "db.json"
+    db.write_text(json.dumps([{"client": c, "library": "tinykv"} for c in ("alpha", "x/y", "x_y")]))
+    doc = json.loads(cfg.read_text())
+    doc["dependency_db"] = str(db)
+    cfg.write_text(json.dumps(doc))
+    main(["catalog", "--config", str(cfg)])
+    assert main(["scan", "--config", str(cfg), "--library", "tinykv"]) == 1
+    assert "clients 'x/y' and 'x_y' of 'tinykv' share the artifact name 'x_y'" in capsys.readouterr().err
+    assert not (out / "usage_tinykv_corpus.json").exists()
+
+
+def test_dependency_db_allows_one_slug_across_libraries(tmp_path):
+    db = tmp_path / "db.json"
+    db.write_text(json.dumps([{"client": "x/y", "library": "a"}, {"client": "x_y", "library": "b"}]))
+    assert [e.client for e in load_dependency_db(db)] == ["x/y", "x_y"]
 
 
 @pytest.mark.parametrize(

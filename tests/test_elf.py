@@ -3,7 +3,7 @@ import subprocess
 
 import pytest
 
-from apimeter import elfsynth
+import elfsynth
 from apimeter.elf import exported_text_symbols
 from apimeter.errors import NoDynamicSymbolsError, NotElfError
 

@@ -1,9 +1,8 @@
 """The scanner's call matcher against the frozen identifier-loop matcher.
 
-Both run through the scanner's entry points, `scan_sources` and
-`find_api_uses`. The generated texts hold no '/', '"', "'" or '*', so the
-comment and string blanking leaves them as they are and the matcher sees
-them unchanged. Uses and the sorted (api, line) list are compared in strict
+Both run through the scanner's entry point, `scan_sources`. The generated
+texts hold no '/', '"', "'" or '*', so the comment and string blanking
+leaves them as they are and the matcher sees them unchanged. Uses and the sorted (api, line) list are compared in strict
 and loose mode, with lines (`collect_sites`) and without; whole-file scans
 are compared in the default, `paper_faithful` and `collect_sites` modes.
 """
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 
 import reference_matcher as ref
 from apimeter.diagnostics import Diagnostics
-from apimeter.scan import ScanOptions, find_api_uses, scan_sources
+from apimeter.scan import ScanOptions, scan_sources
 from conftest import GOLDEN
 
 NAMES = frozenset(
@@ -36,8 +35,6 @@ def _assert_same(text: str, names: frozenset[str] = NAMES) -> None:
             assert sorted((s.api, s.line) for s in got_sites) == sorted(
                 (s.api, s.line) for s in want_sites
             )
-        for api in sorted(names):
-            assert find_api_uses(text, api, loose) == ref.find_api_uses(text, api, loose)
 
 
 EDGE_CASES = [

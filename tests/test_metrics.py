@@ -15,7 +15,6 @@ from apimeter.metrics import (
     precision_recall,
     round_pct,
     size_buckets,
-    sort_unused_rows,
     unused_apis,
     use_distribution,
     used_not_tested,
@@ -68,15 +67,6 @@ def test_unused_apis_empty_corpus_counts_everything():
     row = unused_apis(agg, catalog)
     assert row.unused == row.total == 3
     assert row.unused_pct == 100
-
-
-def test_unused_rows_sorted_descending_with_name_tiebreak():
-    rows = [
-        _synthetic_unused_row(10, 1, "beta"),
-        _synthetic_unused_row(10, 5, "alpha"),
-        _synthetic_unused_row(10, 1, "aaa"),
-    ]
-    assert [r.library for r in sort_unused_rows(rows)] == ["alpha", "aaa", "beta"]
 
 
 def test_table_identity_total_is_used_plus_unused():

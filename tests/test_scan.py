@@ -7,103 +7,102 @@ from apimeter.diagnostics import Diagnostics
 from apimeter.scan import (
     ScanOptions,
     aggregate_reports,
-    find_api_uses,
+    blank_comments_and_strings,
     scan_client,
     scan_sources,
     strip_comment_lines,
-    strip_comments,
 )
-from conftest import GOLDEN
+from conftest import GOLDEN, call_lines
 
 
 def test_strip_line_comment_preserves_columns():
-    assert strip_comments("f(); // call") == "f();        "
+    assert blank_comments_and_strings("f(); // call") == "f();        "
 
 
 def test_strip_block_comment_preserves_columns():
-    assert strip_comments("/* f() */ g();") == "          g();"
+    assert blank_comments_and_strings("/* f() */ g();") == "          g();"
 
 
 def test_strip_protects_string_contents():
-    src = 's = "// not a comment"; f();'
-    assert strip_comments(src) == src
+    literal = '"// not a comment"'
+    assert blank_comments_and_strings(f"s = {literal}; f();") == f"s = {' ' * len(literal)}; f();"
 
 
 def test_strip_multiline_block():
     src = "a();\n/* one\ntwo\nthree */\nb();"
-    out = strip_comments(src)
+    out = blank_comments_and_strings(src)
     assert out.splitlines() == ["a();", "      ", "   ", "        ", "b();"]
     assert len(out) == len(src)
 
 
 def test_strip_unterminated_block_blanks_to_eof():
     diag = Diagnostics()
-    out = strip_comments("a();\n/* oops\nb();", diag)
+    out = blank_comments_and_strings("a();\n/* oops\nb();", diag)
     assert out.splitlines() == ["a();", "       ", "    "]
     assert diag.count("unterminated_block_comment") == 1
 
 
 def test_strip_line_comment_continuation():
-    out = strip_comments("// first \\\nstill comment\nf();")
+    out = blank_comments_and_strings("// first \\\nstill comment\nf();")
     assert out.splitlines() == ["          ", "             ", "f();"]
 
 
 def test_find_simple_call():
-    assert find_api_uses("mdb_env_create(&env);", "mdb_env_create") == [1]
+    assert call_lines("mdb_env_create(&env);", "mdb_env_create") == [1]
 
 
 def test_find_rejects_superstring_identifier():
-    assert find_api_uses("my_mdb_env_create(&env);", "mdb_env_create") == []
+    assert call_lines("my_mdb_env_create(&env);", "mdb_env_create") == []
 
 
 def test_find_excludes_string_literal():
-    assert find_api_uses('printf("mdb_env_create(");', "mdb_env_create") == []
+    assert call_lines('printf("mdb_env_create(");', "mdb_env_create") == []
 
 
 def test_find_counts_macro_definition_use():
-    assert find_api_uses("#define OPEN(e) mdb_env_open(e)", "mdb_env_open") == [1]
+    assert call_lines("#define OPEN(e) mdb_env_open(e)", "mdb_env_open") == [1]
 
 
 def test_find_single_whitespace_gap_only():
-    assert find_api_uses("tk_stat (h);", "tk_stat") == [1]
-    assert find_api_uses("tk_stat  (h);", "tk_stat") == []
-    assert find_api_uses("tk_stat\n(h);", "tk_stat") == []
+    assert call_lines("tk_stat (h);", "tk_stat") == [1]
+    assert call_lines("tk_stat  (h);", "tk_stat") == []
+    assert call_lines("tk_stat\n(h);", "tk_stat") == []
 
 
 def test_find_loose_mode_spans_whitespace():
-    assert find_api_uses("tk_stat  (h);", "tk_stat", loose=True) == [1]
-    assert find_api_uses("tk_stat\n   (h);", "tk_stat", loose=True) == [1]
+    assert call_lines("tk_stat  (h);", "tk_stat", loose=True) == [1]
+    assert call_lines("tk_stat\n   (h);", "tk_stat", loose=True) == [1]
 
 
 def test_find_ignores_function_pointer_mention():
-    assert find_api_uses("cb = tk_close;", "tk_close") == []
+    assert call_lines("cb = tk_close;", "tk_close") == []
 
 
 def test_find_masks_char_and_raw_string_literals():
-    assert find_api_uses("c = 'x'; s = R\"(tk_put(1))\";", "tk_put") == []
+    assert call_lines("c = 'x'; s = R\"(tk_put(1))\";", "tk_put") == []
 
 
 def test_find_counts_multiple_uses_on_one_line():
-    assert find_api_uses("f(g(), f(1));", "f") == [1, 1]
+    assert call_lines("f(g(), f(1));", "f") == [1, 1]
 
 
 def test_digit_separators_do_not_break_matching():
-    assert find_api_uses("int x = 1'000'000; tk_open(db);", "tk_open") == [1]
+    assert call_lines("int x = 1'000'000; tk_open(db);", "tk_open") == [1]
 
 
 def test_escaped_quotes_inside_string():
-    assert find_api_uses('printf("say \\"tk_open(\\""); tk_open(db);', "tk_open") == [1]
+    assert call_lines('printf("say \\"tk_open(\\""); tk_open(db);', "tk_open") == [1]
 
 
 def test_lone_quote_recovers_at_newline():
     src = "char *s = \"unterminated\ntk_open(db);"
-    assert find_api_uses(src, "tk_open") == [2]
+    assert call_lines(src, "tk_open") == [2]
 
 
 def test_paper_faithful_drops_commented_call_lines():
     src = "tk_close(db); // flush\ntk_close(db);\n"
-    assert find_api_uses(strip_comments(src), "tk_close") == [1, 2]
-    assert find_api_uses(strip_comment_lines(src), "tk_close") == [2]
+    assert call_lines(src, "tk_close") == [1, 2]
+    assert call_lines(src, "tk_close", paper_faithful=True) == [2]
 
 
 def _golden_record(client: str) -> ClientRecord:
@@ -236,7 +235,7 @@ _fragments = st.lists(
 @given(_fragments)
 def test_strip_comments_preserves_line_count(fragments):
     src = "".join(fragments)
-    assert strip_comments(src).count("\n") == src.count("\n")
+    assert blank_comments_and_strings(src).count("\n") == src.count("\n")
 
 
 @given(_fragments)
@@ -259,7 +258,7 @@ def test_paper_faithful_strip_preserves_line_count(fragments):
 def test_superstring_identifiers_never_match(api, decorations):
     # every identifier strictly contains the API name, so nothing may match
     lines = [f"{prefix}{api}{suffix}();" for prefix, suffix in decorations]
-    assert find_api_uses("\n".join(lines), api) == []
+    assert call_lines("\n".join(lines), api) == []
 
 
 @st.composite
