@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import artifacts, clientprep, coverage, metrics, reports, scan
-from .catalog import ApiCatalog, LibrarySpec, build_catalog, load_catalog, save_catalog
+from .catalog import LibrarySpec, build_catalog, load_catalog, save_catalog
 from .diagnostics import Diagnostics, stderr_diagnostics
 from .errors import (
     ApimeterError,
@@ -82,6 +82,15 @@ def load_config(path: str | Path) -> RunConfig:
             )
             for lib in doc.get("libraries", [])
         ]
+        # Per-library artifacts are named by slug, so two libraries sharing one would overwrite each other.
+        names: dict[str, str] = {}  # slug -> library
+        for spec in specs:
+            slug = _slug(spec.name)
+            if slug in names:
+                raise ConfigError(
+                    f"config {cfg_path}: libraries {names[slug]!r} and {spec.name!r} share the artifact name {slug!r}"
+                )
+            names[slug] = spec.name
         thresholds = doc.get("thresholds", {})
         flags = doc.get("flags", {})
         # bool is an int subclass: `true` must not pass as 1.
@@ -240,17 +249,23 @@ def cmd_catalog(config: RunConfig, library: str | None, diag: Diagnostics) -> in
     return 0
 
 
-def _scan_one(
-    entry: DependencyEntry,
-    root: Path,
-    spec: LibrarySpec,
-    inv: clientprep.LibraryInventory,
-    catalog: ApiCatalog,
-    config: RunConfig,
-    collect_sites: bool,
-) -> tuple[clientprep.ClientRecord, scan.UsageReport, list[dict]]:
-    """Prepare and scan one client; its diagnostics come back as events so
-    the caller can replay them in client order, whichever process ran it."""
+# What every client of one `scan` run shares (spec, inventory, catalog,
+# config, collect_sites). `_init_worker` sets it once per process: in each
+# `--jobs` worker, and in the stage's own process for a serial run. So each
+# task carries just its (entry, root).
+_worker_context: tuple = ()
+
+
+def _init_worker(*context) -> None:
+    global _worker_context
+    _worker_context = context
+
+
+def _scan_one(entry: DependencyEntry, root: Path) -> tuple[dict, scan.UsageReport, list[dict]]:
+    """Prepare and scan one client: its prep artifact, usage report and
+    diagnostics as events, which the caller replays in client order,
+    whichever process ran it."""
+    spec, inv, catalog, config, collect_sites = _worker_context
     diag = Diagnostics()
     rec = clientprep.prepare_client(
         entry.client,
@@ -262,24 +277,7 @@ def _scan_one(
         diag=diag,
     )
     report = scan.scan_client(rec, catalog, config.scan_options(collect_sites), diag)
-    return replace(rec, listing=None), report, diag.events
-
-
-# What every client of one `scan --jobs N` run shares (spec, inventory,
-# catalog, config, collect_sites). Only the pool's initializer sets it, once
-# in each worker process, so each task carries just its (entry, root).
-_worker_context: tuple = ()
-
-
-def _init_worker(*context) -> None:
-    global _worker_context
-    _worker_context = context
-
-
-def _scan_in_worker(
-    entry: DependencyEntry, root: Path
-) -> tuple[clientprep.ClientRecord, scan.UsageReport, list[dict]]:
-    return _scan_one(entry, root, *_worker_context)
+    return clientprep.prep_report_dict(rec), report, diag.events
 
 
 def cmd_scan(config: RunConfig, library: str, diag: Diagnostics, collect_sites: bool = False) -> int:
@@ -301,26 +299,23 @@ def cmd_scan(config: RunConfig, library: str, diag: Diagnostics, collect_sites: 
             skipped.append(entry.client)
             diag.emit("client_missing", client=entry.client, expected=str(root))
 
-    results: list[tuple[clientprep.ClientRecord, scan.UsageReport, list[dict]]] = []
+    context = (spec, inv, catalog, config, collect_sites)
     if config.jobs > 1 and len(jobs) > 1:
         # Imported here: it loads multiprocessing, which no other stage needs.
         from concurrent.futures import ProcessPoolExecutor
 
-        context = (spec, inv, catalog, config, collect_sites)
         with ProcessPoolExecutor(max_workers=config.jobs, initializer=_init_worker, initargs=context) as pool:
-            results = list(pool.map(_scan_in_worker, [e for e, _ in jobs], [r for _, r in jobs]))
+            results = list(pool.map(_scan_one, [e for e, _ in jobs], [r for _, r in jobs]))
     else:
-        results = [
-            _scan_one(entry, root, spec, inv, catalog, config, collect_sites)
-            for entry, root in jobs
-        ]
+        _init_worker(*context)
+        results = [_scan_one(entry, root) for entry, root in jobs]
 
     out_dir = Path(config.output_dir)
-    for rec, report, events in results:
+    for prep, report, events in results:
         for event in events:
             diag.emit(**event)
-        stem = f"{_slug(library)}_{_slug(rec.client_id)}"
-        artifacts.write_json(out_dir / f"prep_{stem}.json", clientprep.prep_report_dict(rec))
+        stem = f"{_slug(library)}_{_slug(report.client_id)}"
+        artifacts.write_json(out_dir / f"prep_{stem}.json", prep)
         artifacts.write_json(out_dir / f"usage_{stem}.json", usage_report_dict(report))
         if report.sites is not None:
             listing = "".join(f"{s.file}:{s.line}:{s.api}\n" for s in report.sites)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left, bisect_right
-from collections.abc import Container
+from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
 from operator import countOf
 
@@ -164,6 +164,14 @@ def parse_tracefile(content: str, diag: Diagnostics | None = None) -> Tracefile:
     return Tracefile(records=list(records.values()))
 
 
+def _add_counts(counts: dict[int, int], pairs: Iterable[tuple[int, int]]) -> None:
+    """Add (line, count) pairs to `counts`, summing repeats and saturating at MAX_COUNT."""
+    for line, count in pairs:
+        if line in counts:
+            count += counts[line]
+        counts[line] = count if count < MAX_COUNT else MAX_COUNT
+
+
 def _add_record(
     content: str, match: re.Match[str], records: dict[str, FileCoverage], functions: _FunctionIndex
 ) -> None:
@@ -180,11 +188,7 @@ def _add_record(
         run = re.sub(_DA_CHECKSUM, r"\1", run)
     # The C JSON decoder turns the whole run into ints: line, count, line, count, ...
     values = json.loads("[" + run[3:-1].replace("\nDA:", ",") + "]")
-    counts = fc.line_counts
-    for lineno, count in zip(values[::2], values[1::2]):
-        if lineno in counts:
-            count += counts[lineno]
-        counts[lineno] = count if count < MAX_COUNT else MAX_COUNT
+    _add_counts(fc.line_counts, zip(values[::2], values[1::2]))
 
 
 def _parse_lines(
@@ -365,11 +369,7 @@ def merge_tracefiles(tracefiles: list[Tracefile]) -> Tracefile:
     for tf in tracefiles:
         for fc in tf.records:
             target = merged.setdefault(fc.path, FileCoverage(path=fc.path))
-            counts = target.line_counts
-            for line, count in fc.line_counts.items():
-                if line in counts:
-                    count += counts[line]
-                counts[line] = count if count < MAX_COUNT else MAX_COUNT
+            _add_counts(target.line_counts, fc.line_counts.items())
             for fn in fc.functions:
                 _add_function(functions, target, fn.name, fn.start, fn.end)
     return Tracefile(records=list(merged.values()))

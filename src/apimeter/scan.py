@@ -95,11 +95,8 @@ def _spaces(token: str) -> str:
     return "\n".join(" " * len(line) for line in token.split("\n"))
 
 
-def blank_comments_and_strings(
-    source: str, diag: Diagnostics | None = None, *, comments: bool = True
-) -> str:
-    """Blank every non-newline character of string/char literals and, unless
-    `comments` is false, of comments.
+def blank_comments_and_strings(source: str, diag: Diagnostics | None = None) -> str:
+    """Blank every non-newline character of comments and string/char literals.
 
     One pass of the tokenizer; line count and the columns of surviving code
     are preserved. Comment markers inside literals are protected. An
@@ -113,7 +110,7 @@ def blank_comments_and_strings(
             return _spaces(token)
         if diag is not None and token[1] == "*" and (len(token) < 4 or not token.endswith("*/")):
             diag.emit("unterminated_block_comment", at_line=source.count("\n", 0, m.start()) + 1)
-        return _spaces(token) if comments else token
+        return _spaces(token)
 
     return _TOKEN.sub(blank, source)
 
@@ -188,7 +185,8 @@ def scan_sources(
     sites: list[UseSite] = []
     for rel_path, text in files:
         if options.paper_faithful:
-            prepared = blank_comments_and_strings(strip_comment_lines(text), comments=False)
+            # No comment survives strip_comment_lines, so this blanks literals only.
+            prepared = blank_comments_and_strings(strip_comment_lines(text))
         else:
             prepared = blank_comments_and_strings(text, diag)
         if options.collect_sites:

@@ -57,7 +57,7 @@ def scan_sources(
     sites: list[UseSite] = []
     for rel_path, text in files:
         if options.paper_faithful:
-            prepared = blank_comments_and_strings(strip_comment_lines(text), comments=False)
+            prepared = blank_comments_and_strings(strip_comment_lines(text))
         else:
             prepared = blank_comments_and_strings(text, diag)
         for api, line in match_calls(prepared, api_names, options.loose_call_match, options.collect_sites):

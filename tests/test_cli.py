@@ -65,6 +65,22 @@ def test_catalog_rerun_identical_modulo_timestamp(workspace):
     assert first == second
 
 
+def test_catalog_of_undersized_symbol_entries_names_the_object(workspace, capsys):
+    # The .dynsym moved to end of file with 1-byte entries: its last records
+    # would be read past the end.
+    cfg, out = workspace
+    so = Path(json.loads(cfg.read_text())["libraries"][0]["shared_objects"][0])
+    data = bytearray(so.read_bytes())
+    dynsym = int.from_bytes(data[0x28:0x30], "little") + 3 * 64
+    size = int.from_bytes(data[dynsym + 32 : dynsym + 40], "little")
+    data[dynsym + 24 : dynsym + 32] = (len(data) - size).to_bytes(8, "little")
+    data[dynsym + 56 : dynsym + 64] = (1).to_bytes(8, "little")
+    so.write_bytes(bytes(data))
+    assert main(["catalog", "--config", str(cfg)]) == 1
+    assert f"error: {so}: symbol table entry size 1 is below 24 bytes" in capsys.readouterr().err
+    assert not (out / "catalog_tinykv.json").exists()
+
+
 def test_catalog_missing_shared_object(tmp_path, capsys):
     config = {
         "libraries": [
@@ -170,10 +186,12 @@ def test_scan_reports_unreadable_dir_same_for_jobs(workspace, capsys, monkeypatc
     assert capsys.readouterr().err == serial
 
 
-def test_scan_jobs_parity_sites_loose(workspace, capsys):
+@pytest.mark.parametrize("flags", [["--sites", "--loose-call-match"], ["--sites", "--paper-faithful"]],
+                         ids=["loose", "paper_faithful"])
+def test_scan_jobs_parity_sites_loose(workspace, capsys, flags):
     cfg, out = workspace
     main(["catalog", "--config", str(cfg)])
-    argv = ["scan", "--config", str(cfg), "--library", "tinykv", "--sites", "--loose-call-match"]
+    argv = ["scan", "--config", str(cfg), "--library", "tinykv", *flags]
 
     def run(extra: list[str]) -> tuple[dict[str, bytes], str]:
         capsys.readouterr()
@@ -717,6 +735,17 @@ def test_dependency_db_rejects_clients_sharing_an_artifact_name(workspace, tmp_p
     assert main(["scan", "--config", str(cfg), "--library", "tinykv"]) == 1
     assert "clients 'x/y' and 'x_y' of 'tinykv' share the artifact name 'x_y'" in capsys.readouterr().err
     assert not (out / "usage_tinykv_corpus.json").exists()
+
+
+def test_config_rejects_libraries_sharing_an_artifact_name(workspace, capsys):
+    cfg, out = workspace
+    doc = json.loads(cfg.read_text())
+    lib = doc["libraries"][0]
+    doc["libraries"] = [{**lib, "name": "x/y"}, {**lib, "name": "x_y"}]
+    cfg.write_text(json.dumps(doc))
+    assert main(["catalog", "--config", str(cfg)]) == 1
+    assert f"config {cfg}: libraries 'x/y' and 'x_y' share the artifact name 'x_y'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dependency_db_allows_one_slug_across_libraries(tmp_path):

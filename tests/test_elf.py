@@ -1,4 +1,6 @@
+import re
 import shutil
+import struct
 import subprocess
 
 import pytest
@@ -73,6 +75,46 @@ def test_no_dynamic_symbols(tmp_path):
     stripped.write_bytes(bytes(data))
     with pytest.raises(NoDynamicSymbolsError):
         exported_text_symbols(stripped)
+
+
+# Offsets of an elfsynth ELF64 little-endian object: e_shoff, and the
+# .dynsym section header's sh_size and sh_link.
+_SHOFF_AT = 0x28
+_DYNSYM_HEADER = 3 * 64
+_FIELDS = {"size": (32, "<Q"), "link": (40, "<I")}
+
+
+def _with_dynsym(data: bytes, **fields: int) -> bytes:
+    out = bytearray(data)
+    (shoff,) = struct.unpack_from("<Q", out, _SHOFF_AT)
+    for name, value in fields.items():
+        at, fmt = _FIELDS[name]
+        struct.pack_into(fmt, out, shoff + _DYNSYM_HEADER + at, value)
+    return bytes(out)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda d: b"MZ this is not an ELF file",
+        lambda d: d[:4] + b"\x07" + d[5:],
+        lambda d: d[:4] + d[4:5] + b"\x09" + d[6:],
+        lambda d: d[:40],
+        lambda d: d[:-10],
+        lambda d: d[:_SHOFF_AT] + struct.pack("<Q", 2**64 - 64) + d[_SHOFF_AT + 8 :],
+        lambda d: _with_dynsym(d, link=99),
+        lambda d: _with_dynsym(d, size=len(d)),
+    ],
+    ids=["bad_magic", "unknown_class", "unknown_encoding", "truncated_header",
+         "truncated_section_table", "section_table_beyond_any_buffer", "dangling_string_table",
+         "symbols_past_end"],
+)
+def test_not_elf_errors_name_the_file(tmp_path, damage):
+    so = elfsynth.write_shared_object(tmp_path / "lib.so", [elfsynth.function("f")])
+    bad = tmp_path / "bad.so"
+    bad.write_bytes(damage(so.read_bytes()))
+    with pytest.raises(NotElfError, match="^" + re.escape(f"{bad}: ")):
+        exported_text_symbols(bad)
 
 
 TOOLCHAIN = shutil.which("gcc") and shutil.which("nm")

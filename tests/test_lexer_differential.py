@@ -1,10 +1,11 @@
 """The scanner's one-pass tokenizer against the frozen per-character lexer.
 
-Both modes of `blank_comments_and_strings` are compared on the same text:
-strings only (`comments=False`, the `paper_faithful` path, against the
-reference's `mask_string_literals`) and both at once (the default path,
-which must equal stripping comments and then masking strings in the
-stripped text, diagnostics included).
+Both uses of `blank_comments_and_strings` are compared on the same text.
+The `paper_faithful` path passes it `strip_comment_lines` output, where no
+comment survives, so on that text it must equal the reference's
+`mask_string_literals`. The default path passes the whole text, and must
+equal stripping comments and then masking strings in the stripped text,
+diagnostics included.
 """
 
 import pytest
@@ -13,11 +14,12 @@ from hypothesis import strategies as st
 
 import reference_lexer as ref
 from apimeter.diagnostics import Diagnostics
-from apimeter.scan import blank_comments_and_strings
+from apimeter.scan import blank_comments_and_strings, strip_comment_lines
 
 
 def _assert_same(src: str) -> None:
-    assert blank_comments_and_strings(src, comments=False) == ref.mask_string_literals(src)
+    lines_kept = strip_comment_lines(src)
+    assert blank_comments_and_strings(lines_kept) == ref.mask_string_literals(lines_kept)
 
     want_diag, got_diag = Diagnostics(), Diagnostics()
     want = ref.mask_string_literals(ref.strip_comments(src, want_diag))
