@@ -12,6 +12,7 @@ names the file.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 from pathlib import Path
@@ -48,7 +49,37 @@ def write_text(path: str | Path, text: str) -> Path:
 
 
 def write_json(path: str | Path, payload: dict) -> Path:
-    return write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """`write_text` of `json.dumps(payload, indent=2, sort_keys=True) + "\\n"`."""
+    return write_text(path, _indented(payload, "") + "\n")
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.lru_cache(maxsize=None)  # one encoder per nesting depth
+def _flat_encoder(inner: str) -> Callable[[Any], str]:
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + inner, ": ")).encode
+
+
+def _indented(value: Any, indent: str) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` for a value that starts
+    `indent` deep. `indent=` switches json to its pure-Python encoder, so a
+    container holding no container goes to the C encoder in one call instead,
+    with the newline and indent folded into its item separator."""
+    if not isinstance(value, _CONTAINERS) or not value:
+        return json.dumps(value)
+    inner = indent + "  "
+    is_dict = isinstance(value, dict)
+    if not any(isinstance(v, _CONTAINERS) for v in (value.values() if is_dict else value)):
+        text = _flat_encoder(inner)(value)
+    elif is_dict:
+        # Each key is encoded as the one key of a dict, so it is converted and checked as json does.
+        items = (json.dumps({k: 0}, separators=(",", ":"))[1:-3] + ": " + _indented(v, inner)
+                 for k, v in sorted(value.items()))
+        text = "{" + (",\n" + inner).join(items) + "}"
+    else:
+        text = "[" + (",\n" + inner).join([_indented(v, inner) for v in value]) + "]"
+    return f"{text[0]}\n{inner}{text[1:-1]}\n{indent}{text[-1]}"
 
 
 def load_json(

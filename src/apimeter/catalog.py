@@ -13,7 +13,7 @@ from __future__ import annotations
 import datetime
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import artifacts
@@ -32,6 +32,13 @@ def is_source_name(name: str) -> bool:
 
 
 C_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+# Defaults of the client-preparation and scan settings. They live here because
+# every stage loads this module, so the CLI's configuration reads them without
+# importing those stages.
+DEFAULT_OVERLAP_THRESHOLD = 0.8
+DEFAULT_MIN_LIB_FILES = 3
+DEFAULT_FILE_CAP_BYTES = 16 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -196,11 +203,4 @@ def with_annotation(
     eloc: int,
     covered_lines: int,
 ) -> ApiSymbol:
-    return replace(
-        symbol,
-        defining_file=defining_file,
-        entry_start=entry_start,
-        entry_end=entry_end,
-        eloc=eloc,
-        covered_lines=covered_lines,
-    )
+    return ApiSymbol(symbol.name, defining_file, entry_start, entry_end, eloc, covered_lines)

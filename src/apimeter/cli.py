@@ -3,6 +3,10 @@
 Each stage persists its artifact and any later stage reruns from persisted
 artifacts alone. Skips and warnings never change the exit status; only
 fatal errors do.
+
+Each stage runs as its own process, so a command imports the stage modules
+it needs when it starts; at module scope this file loads only what every
+stage shares (artifacts, catalog, diagnostics, errors).
 """
 
 from __future__ import annotations
@@ -12,9 +16,18 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import artifacts, clientprep, coverage, metrics, reports, scan
-from .catalog import LibrarySpec, build_catalog, load_catalog, save_catalog
+from . import artifacts
+from .catalog import (
+    DEFAULT_FILE_CAP_BYTES,
+    DEFAULT_MIN_LIB_FILES,
+    DEFAULT_OVERLAP_THRESHOLD,
+    LibrarySpec,
+    build_catalog,
+    load_catalog,
+    save_catalog,
+)
 from .diagnostics import Diagnostics, stderr_diagnostics
 from .errors import (
     ApimeterError,
@@ -24,6 +37,10 @@ from .errors import (
     MalformedDirectiveError,
     MissingInputsError,
 )
+
+if TYPE_CHECKING:
+    from .coverage import ImprovementReport
+    from .scan import CorpusAggregate, ScanOptions, UsageReport
 
 
 @dataclass(frozen=True)
@@ -39,9 +56,9 @@ class RunConfig:
     dependency_db: str | None
     clients_root: str | None
     output_dir: str
-    overlap_threshold: float = clientprep.DEFAULT_OVERLAP_THRESHOLD
-    min_lib_files: int = clientprep.DEFAULT_MIN_LIB_FILES
-    file_cap_bytes: int = scan.DEFAULT_FILE_CAP_BYTES
+    overlap_threshold: float = DEFAULT_OVERLAP_THRESHOLD
+    min_lib_files: int = DEFAULT_MIN_LIB_FILES
+    file_cap_bytes: int = DEFAULT_FILE_CAP_BYTES
     paper_faithful: bool = False
     loose_call_match: bool = False
     jobs: int = 1
@@ -52,8 +69,10 @@ class RunConfig:
                 return spec
         raise ConfigError(f"library {library!r} not in configuration")
 
-    def scan_options(self, collect_sites: bool = False) -> scan.ScanOptions:
-        return scan.ScanOptions(
+    def scan_options(self, collect_sites: bool = False) -> ScanOptions:
+        from .scan import ScanOptions
+
+        return ScanOptions(
             paper_faithful=self.paper_faithful,
             loose_call_match=self.loose_call_match,
             file_cap_bytes=self.file_cap_bytes,
@@ -94,13 +113,13 @@ def load_config(path: str | Path) -> RunConfig:
         thresholds = doc.get("thresholds", {})
         flags = doc.get("flags", {})
         # bool is an int subclass: `true` must not pass as 1.
-        overlap = thresholds.get("overlap", clientprep.DEFAULT_OVERLAP_THRESHOLD)
+        overlap = thresholds.get("overlap", DEFAULT_OVERLAP_THRESHOLD)
         if type(overlap) not in (int, float) or not 0.0 < overlap <= 1.0:
             raise ConfigError(f"config {cfg_path}: overlap threshold must be a number in (0, 1]: {overlap!r}")
-        min_lib_files = thresholds.get("min_lib_files", clientprep.DEFAULT_MIN_LIB_FILES)
+        min_lib_files = thresholds.get("min_lib_files", DEFAULT_MIN_LIB_FILES)
         if type(min_lib_files) is not int or min_lib_files < 1:
             raise ConfigError(f"config {cfg_path}: min_lib_files must be an integer >= 1: {min_lib_files!r}")
-        file_cap_bytes = thresholds.get("file_cap_bytes", scan.DEFAULT_FILE_CAP_BYTES)
+        file_cap_bytes = thresholds.get("file_cap_bytes", DEFAULT_FILE_CAP_BYTES)
         if type(file_cap_bytes) is not int or file_cap_bytes < 1:
             raise ConfigError(f"config {cfg_path}: file_cap_bytes must be a positive integer: {file_cap_bytes!r}")
         for name in ("paper_faithful", "loose_call_match"):
@@ -182,7 +201,7 @@ def _stage_input(path: Path, stage: str) -> Path:
     return path
 
 
-def usage_report_dict(report: scan.UsageReport) -> dict:
+def usage_report_dict(report: UsageReport) -> dict:
     return {
         "schema_version": artifacts.SCHEMA_VERSION,
         "client": report.client_id,
@@ -194,7 +213,7 @@ def usage_report_dict(report: scan.UsageReport) -> dict:
     }
 
 
-def corpus_dict(agg: scan.CorpusAggregate, skipped: list[str]) -> dict:
+def corpus_dict(agg: CorpusAggregate, skipped: list[str]) -> dict:
     return {
         "schema_version": artifacts.SCHEMA_VERSION,
         "library": agg.library,
@@ -207,10 +226,12 @@ def corpus_dict(agg: scan.CorpusAggregate, skipped: list[str]) -> dict:
     }
 
 
-def corpus_from_dict(doc: dict) -> scan.CorpusAggregate:
+def corpus_from_dict(doc: dict) -> CorpusAggregate:
+    from .scan import UsageReport, aggregate_reports
+
     artifacts.check_schema_version(doc)
     reports_list = [
-        scan.UsageReport(
+        UsageReport(
             client_id=c["client"],
             library=doc["library"],
             uses=dict(c["uses"]),
@@ -218,12 +239,14 @@ def corpus_from_dict(doc: dict) -> scan.CorpusAggregate:
         )
         for c in doc["clients"]
     ]
-    return scan.aggregate_reports(doc["library"], doc["catalog_size"], reports_list)
+    return aggregate_reports(doc["library"], doc["catalog_size"], reports_list)
 
 
-def improvement_from_dict(doc: dict) -> coverage.ImprovementReport:
+def improvement_from_dict(doc: dict) -> ImprovementReport:
+    from .coverage import ImprovementReport
+
     artifacts.check_schema_version(doc)
-    return coverage.ImprovementReport(
+    return ImprovementReport(
         extra_total_coverage_pct=doc["extra_total_coverage_pct"],
         newly_covered_apis=doc["newly_covered_apis"],
         improved_apis=doc["improved_apis"],
@@ -261,10 +284,12 @@ def _init_worker(*context) -> None:
     _worker_context = context
 
 
-def _scan_one(entry: DependencyEntry, root: Path) -> tuple[dict, scan.UsageReport, list[dict]]:
+def _scan_one(entry: DependencyEntry, root: Path) -> tuple[dict, UsageReport, list[dict]]:
     """Prepare and scan one client: its prep artifact, usage report and
     diagnostics as events, which the caller replays in client order,
     whichever process ran it."""
+    from . import clientprep, scan  # loaded by cmd_scan before any worker starts
+
     spec, inv, catalog, config, collect_sites = _worker_context
     diag = Diagnostics()
     rec = clientprep.prepare_client(
@@ -281,6 +306,8 @@ def _scan_one(entry: DependencyEntry, root: Path) -> tuple[dict, scan.UsageRepor
 
 
 def cmd_scan(config: RunConfig, library: str, diag: Diagnostics, collect_sites: bool = False) -> int:
+    from . import clientprep, scan
+
     if config.dependency_db is None or config.clients_root is None:
         raise ConfigError("scan requires dependency_db and clients_root in the configuration")
     catalog = load_catalog(_stage_input(catalog_path(config, library), "catalog"))
@@ -304,7 +331,9 @@ def cmd_scan(config: RunConfig, library: str, diag: Diagnostics, collect_sites: 
         # Imported here: it loads multiprocessing, which no other stage needs.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.jobs, initializer=_init_worker, initargs=context) as pool:
+        # The fork start method starts every worker at once, so never more than there are clients.
+        workers = min(config.jobs, len(jobs))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=context) as pool:
             results = list(pool.map(_scan_one, [e for e, _ in jobs], [r for _, r in jobs]))
     else:
         _init_worker(*context)
@@ -341,6 +370,8 @@ def cmd_coverage(
     diag: Diagnostics,
     tcov_excludes: list[str] | None = None,
 ) -> int:
+    from . import coverage
+
     catalog = load_catalog(_stage_input(catalog_path(config, library), "catalog"))
 
     def parse_path(p: str) -> coverage.Tracefile:
@@ -382,6 +413,8 @@ def cmd_coverage(
 
 
 def cmd_report(config: RunConfig, library: str, diag: Diagnostics) -> int:
+    from . import metrics, reports
+
     cat_path = _stage_input(catalog_path(config, library), "catalog")
     agg_path = _stage_input(corpus_path(config, library), "scan")
     catalog = load_catalog(cat_path)
@@ -414,6 +447,8 @@ def cmd_eval(
     oracle_path: str,
     diag: Diagnostics,
 ) -> int:
+    from . import metrics, reports
+
     def parse(doc: dict) -> dict[str, dict[str, int]]:
         artifacts.check_schema_version(doc)
         return {client: dict(counts) for client, counts in doc["clients"].items()}
@@ -441,7 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="run configuration JSON")
     shared.add_argument("--output", help="override the configured output directory")
-    shared.add_argument("--jobs", type=int, default=1, help="worker processes for scanning")
+    shared.add_argument(
+        "--jobs", type=int, default=1, help="worker processes for scanning (at most one per client)"
+    )
     shared.add_argument(
         "--paper-faithful",
         action="store_true",

@@ -17,12 +17,9 @@ from pathlib import Path, PurePosixPath
 from typing import Iterator
 
 from . import artifacts
-from .catalog import LibrarySpec, is_source_name
+from .catalog import DEFAULT_MIN_LIB_FILES, DEFAULT_OVERLAP_THRESHOLD, LibrarySpec, is_source_name
 from .diagnostics import Diagnostics
 from .errors import MissingRootError
-
-DEFAULT_OVERLAP_THRESHOLD = 0.8
-DEFAULT_MIN_LIB_FILES = 3
 
 _SECTION = re.compile(r"\[\s*submodule\b[^\]]*\]")
 _ANY_SECTION = re.compile(r"\[[^\]]*\]")

@@ -18,11 +18,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
-from .catalog import ApiCatalog, is_source_name
+from .catalog import DEFAULT_FILE_CAP_BYTES, ApiCatalog, is_source_name
 from .clientprep import ClientRecord, walk_tree
 from .diagnostics import Diagnostics
-
-DEFAULT_FILE_CAP_BYTES = 16 * 1024 * 1024
 
 # Line-oriented comment exclusion for evaluation parity with purely
 # regex-based pipelines: any line containing a comment marker, or starting

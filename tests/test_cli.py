@@ -260,12 +260,26 @@ def test_scan_rejects_non_positive_min_lib_files(workspace, capsys, value):
     assert f"--min-lib-files must be >= 1: {value}" in capsys.readouterr().err
 
 
-def _modules_after_importing_cli() -> set[str]:
+def _modules_loaded_by(*commands: list[str]) -> set[str]:
+    """The modules in `sys.modules` at the end of one fresh process that
+    imports the CLI and runs each command in turn, every one succeeding."""
     src = str(Path(apimeter.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, apimeter.cli; print(' '.join(sys.modules))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    return set(out.stdout.split())
+    probe = (
+        "import json, sys\n"
+        "from apimeter.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(' '.join(sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(commands)], env=env, capture_output=True, text=True, check=True
+    )
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def _modules_after_importing_cli() -> set[str]:
+    return _modules_loaded_by()
 
 
 def test_import_leaves_process_pool_unloaded():
@@ -282,11 +296,79 @@ def test_scan_sites_listing(workspace):
     assert "sites" not in json.loads((out / "usage_tinykv_alpha.json").read_text())
 
 
-def test_runtime_package_is_what_the_cli_imports():
-    # A module the CLI never imports (a fixture generator, a test-only helper) belongs in tests/.
+def _every_command(cfg: Path, out: Path) -> list[list[str]]:
+    trace = str(GOLDEN / "tracefile_library.info")
+    results = out / "eval_results.json"
+    results.parent.mkdir(parents=True, exist_ok=True)
+    results.write_text(json.dumps({"schema_version": "1.0", "clients": {"alpha": {"tk_open": 1}}}))
+    library = ["--config", str(cfg), "--library", "tinykv"]
+    return [
+        ["catalog", "--config", str(cfg)],
+        ["scan", *library, "--sites"],
+        ["coverage", *library, trace, "--baseline", trace, "--augmented", trace],
+        ["report", *library],
+        ["eval", "--tool", str(results), "--oracle", str(results), "--output", str(out / "eval")],
+    ]
+
+
+def test_runtime_package_is_what_the_cli_imports(workspace):
+    # A module no stage imports (a fixture generator, a test-only helper) belongs in tests/.
     package = Path(apimeter.__file__).resolve().parent
     modules = {f"apimeter.{p.stem}" for p in package.glob("*.py") if p.stem not in ("__init__", "__main__")}
-    assert modules - _modules_after_importing_cli() == set()
+    assert modules - _modules_loaded_by(*_every_command(*workspace)) == set()
+
+
+def test_catalog_process_loads_no_later_stage(workspace):
+    cfg, _ = workspace
+    loaded = _modules_loaded_by(["catalog", "--config", str(cfg)])
+    assert "apimeter.catalog" in loaded
+    later = {"apimeter.scan", "apimeter.clientprep", "apimeter.coverage", "apimeter.metrics", "apimeter.reports"}
+    assert loaded & later == set()
+
+
+def test_coverage_process_loads_no_scan_or_report_module(workspace):
+    cfg, _ = workspace
+    assert main(["catalog", "--config", str(cfg)]) == 0
+    trace = str(GOLDEN / "tracefile_library.info")
+    library = ["--config", str(cfg), "--library", "tinykv"]
+    loaded = _modules_loaded_by(
+        ["coverage", *library, trace], ["coverage", *library, "--baseline", trace, "--augmented", trace]
+    )
+    assert "apimeter.coverage" in loaded
+    others = {"apimeter.scan", "apimeter.clientprep", "apimeter.metrics", "apimeter.reports", "statistics"}
+    assert loaded & others == set()
+
+
+def test_scan_jobs_capped_at_client_count(workspace, monkeypatch):
+    import concurrent.futures
+
+    cfg, out = workspace
+    main(["catalog", "--config", str(cfg)])
+    assert main(["scan", "--config", str(cfg), "--library", "tinykv"]) == 0
+    serial = (out / "usage_tinykv_corpus.json").read_bytes()
+    requested = []
+
+    class InProcessPool:
+        """Records `max_workers` and runs every task here: no process is started."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            requested.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    for jobs in ("64", "2"):
+        assert main(["scan", "--config", str(cfg), "--library", "tinykv", "--jobs", jobs]) == 0
+        assert (out / "usage_tinykv_corpus.json").read_bytes() == serial
+    assert requested == [3, 2]
 
 
 def test_coverage_command_annotates(workspace, oracle):
