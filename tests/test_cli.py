@@ -242,6 +242,44 @@ def test_config_rejects_mistyped_values(tmp_path, capsys, doc):
     assert "ConfigError" in err
 
 
+def _lib(doc: dict) -> dict:
+    return doc["libraries"][0]
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda d: _lib(d).update(explicit_file_excludes="tinykv_amalg.c"), "libraries[0].explicit_file_excludes"),
+        (lambda d: _lib(d).update(source_root=_lib(d).pop("source_roots")), "libraries[0].source_root"),
+        (lambda d: _lib(d).update(shared_objects=_lib(d)["shared_objects"][0]), "libraries[0].shared_objects"),
+        (lambda d: d.update(output_dir=None), "output_dir"),
+        # Relative, so that no one-character root resolves to `/`.
+        (lambda d: _lib(d).update(source_roots="libsrc"), "libraries[0].source_roots"),
+        (lambda d: d.update(libraries="x"), "libraries"),
+        (lambda d: _lib(d).update(name=5), "libraries[0].name"),
+        (lambda d: d.update(thresholds={"overlap_ratio": 0.5}), "thresholds.overlap_ratio"),
+    ],
+    ids=["excludes_str", "source_root_typo", "shared_objects_str", "output_dir_null", "source_roots_str",
+         "libraries_str", "name_int", "thresholds_unknown"],
+)
+def test_config_rejects_wrong_unknown_fields(workspace, edit, field):
+    cfg, out = workspace
+    doc = json.loads(cfg.read_text())
+    edit(doc)
+    cfg.write_text(json.dumps(doc))
+    src = str(Path(apimeter.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "apimeter", "catalog", "--config", str(cfg)],
+        env=env, cwd=cfg.parent, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "ConfigError" in proc.stderr
+    assert f"error: config {cfg}: {field}" in proc.stderr
+    assert not out.exists() or not any(out.rglob("*"))
+
+
 def test_catalog_into_unwritable_output_names_it(workspace, tmp_path, capsys):
     cfg, _ = workspace
     blocker = tmp_path / "not_a_dir"
