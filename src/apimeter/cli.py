@@ -16,7 +16,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from . import artifacts
 from .catalog import (
@@ -46,8 +46,67 @@ if TYPE_CHECKING:
 @dataclass(frozen=True)
 class DependencyEntry:
     client: str
-    source: str
     library: str
+
+
+class Field(NamedTuple):
+    kind: type | tuple[type, ...]  # the JSON type of a given value; a JSON `true` is no number
+    default: Any  # taken when the field is missing; `...` makes that an error, None lets it be null
+    requirement: str  # completes "<field> must be ..."
+    ok: Callable[[Any], bool] = lambda v: True  # its bounds, or the type of its items
+
+
+def _strings(v: list) -> bool:
+    return all(type(s) is str for s in v)
+
+
+# (object, key) -> Field for every key of a config file (top level "", `thresholds`, `flags`, each of `libraries`),
+# of a dependency-DB entry, and of `--jobs`, which no file sets. The command-line overrides reuse these rows.
+FIELDS: dict[tuple[str, str], Field] = {
+    ("", "schema_version"): Field(str, None, "a string"),
+    ("", "libraries"): Field(list, (), "a list"),
+    ("", "dependency_db"): Field(str, None, "a string"),
+    ("", "clients_root"): Field(str, None, "a string"),
+    ("", "output_dir"): Field(str, "out", "a string"),
+    ("", "thresholds"): Field(dict, {}, "an object"),
+    ("", "flags"): Field(dict, {}, "an object"),
+    ("thresholds", "overlap"): Field((int, float), DEFAULT_OVERLAP_THRESHOLD, "a number in (0, 1]", lambda v: 0 < v <= 1),
+    ("thresholds", "min_lib_files"): Field(int, DEFAULT_MIN_LIB_FILES, ">= 1", lambda v: v >= 1),
+    ("thresholds", "file_cap_bytes"): Field(int, DEFAULT_FILE_CAP_BYTES, "a positive integer", lambda v: v >= 1),
+    ("flags", "paper_faithful"): Field(bool, False, "true or false"),
+    ("flags", "loose_call_match"): Field(bool, False, "true or false"),
+    ("library", "name"): Field(str, ..., "a string"),
+    ("library", "shared_objects"): Field(list, ..., "a non-empty list of strings", lambda v: v != [] and _strings(v)),
+    ("library", "header_root"): Field(str, ..., "a string"),
+    ("library", "source_roots"): Field(list, (), "a list of strings", _strings),
+    ("library", "explicit_file_excludes"): Field(list, (), "a list of strings", _strings),
+    ("dependency", "client"): Field(str, ..., "a string"),
+    ("dependency", "library"): Field(str, ..., "a string"),
+    ("dependency", "source"): Field(str, None, "a string"),  # where the client comes from; not read
+    ("command line", "jobs"): Field(int, 1, ">= 1", lambda v: v >= 1),
+}
+
+
+def _check(field: Field, value: Any, label: str, error: type[ApimeterError] = ConfigError) -> Any:
+    ok = isinstance(value, field.kind) and isinstance(value, bool) == (field.kind is bool) and field.ok(value)
+    if ok or value is None is field.default:
+        return value
+    raise error(f"{label} must be {field.requirement}: {value!r}")
+
+
+def _fields(doc: Any, obj: str, where: str, scope: str, error=ConfigError, strict=True) -> dict[str, Any]:
+    """Each field of `obj` in the JSON object `doc`, checked, or else its default. `where` names
+    the file and `scope` the object in it; a key FIELDS does not list is an error if `strict`."""
+    if type(doc) is not dict:
+        raise error(f"{where}: {scope} must be an object: {doc!r}")
+    fields = {key: field for (o, key), field in FIELDS.items() if o == obj}
+    prefix = f"{where}: {scope}." if scope else f"{where}: "
+    if strict and (unknown := sorted(doc.keys() - fields.keys())):
+        raise error(f"{prefix}{unknown[0]} is not a known key; known: {', '.join(fields)}")
+    if missing := [key for key, field in fields.items() if field.default is ... and key not in doc]:
+        raise error(f'{where}: {scope} needs "{missing[0]}": {doc!r}')
+    return {key: _check(field, doc[key], prefix + key, error) if key in doc else field.default
+            for key, field in fields.items()}
 
 
 @dataclass
@@ -56,12 +115,12 @@ class RunConfig:
     dependency_db: str | None
     clients_root: str | None
     output_dir: str
-    overlap_threshold: float = DEFAULT_OVERLAP_THRESHOLD
-    min_lib_files: int = DEFAULT_MIN_LIB_FILES
-    file_cap_bytes: int = DEFAULT_FILE_CAP_BYTES
-    paper_faithful: bool = False
-    loose_call_match: bool = False
-    jobs: int = 1
+    overlap_threshold: float
+    min_lib_files: int
+    file_cap_bytes: int
+    paper_faithful: bool
+    loose_call_match: bool
+    jobs: int
 
     def spec_for(self, library: str) -> LibrarySpec:
         for spec in self.library_specs:
@@ -80,64 +139,46 @@ class RunConfig:
         )
 
 
-def load_config(path: str | Path) -> RunConfig:
-    cfg_path = Path(path)
-    base = cfg_path.parent
+def _run_config(doc: dict, cfg_path: Path) -> RunConfig:
+    """The run config in `doc`, read from `cfg_path`; relative paths resolve against its directory."""
+    where = f"config {cfg_path}"
 
     def resolve(p: str | None) -> str | None:
-        if p is None:
-            return None
-        candidate = Path(p)
-        return str(candidate if candidate.is_absolute() else base / candidate)
+        return None if p is None else str(cfg_path.parent / p)  # an absolute `p` replaces the base
 
-    def parse(doc: dict) -> RunConfig:
-        specs = [
+    top = _fields(doc, "", where, "")
+    specs = []
+    names: dict[str, str] = {}  # slug -> library
+    for i, lib in enumerate(top["libraries"]):
+        lib = _fields(lib, "library", where, f"libraries[{i}]")
+        # Per-library artifacts are named by slug, so two libraries sharing one would overwrite each other.
+        slug = _slug(lib["name"])
+        if slug in names:
+            raise ConfigError(f"{where}: libraries {names[slug]!r} and {lib['name']!r} share the artifact name {slug!r}")
+        names[slug] = lib["name"]
+        specs.append(
             LibrarySpec(
                 name=lib["name"],
-                shared_objects=tuple(resolve(p) for p in lib["shared_objects"]),
+                shared_objects=tuple(map(resolve, lib["shared_objects"])),
                 header_root=resolve(lib["header_root"]),
-                source_roots=tuple(resolve(p) for p in lib.get("source_roots", [])),
-                explicit_file_excludes=tuple(lib.get("explicit_file_excludes", [])),
+                source_roots=tuple(map(resolve, lib["source_roots"])),
+                explicit_file_excludes=tuple(lib["explicit_file_excludes"]),
             )
-            for lib in doc.get("libraries", [])
-        ]
-        # Per-library artifacts are named by slug, so two libraries sharing one would overwrite each other.
-        names: dict[str, str] = {}  # slug -> library
-        for spec in specs:
-            slug = _slug(spec.name)
-            if slug in names:
-                raise ConfigError(
-                    f"config {cfg_path}: libraries {names[slug]!r} and {spec.name!r} share the artifact name {slug!r}"
-                )
-            names[slug] = spec.name
-        thresholds = doc.get("thresholds", {})
-        flags = doc.get("flags", {})
-        # bool is an int subclass: `true` must not pass as 1.
-        overlap = thresholds.get("overlap", DEFAULT_OVERLAP_THRESHOLD)
-        if type(overlap) not in (int, float) or not 0.0 < overlap <= 1.0:
-            raise ConfigError(f"config {cfg_path}: overlap threshold must be a number in (0, 1]: {overlap!r}")
-        min_lib_files = thresholds.get("min_lib_files", DEFAULT_MIN_LIB_FILES)
-        if type(min_lib_files) is not int or min_lib_files < 1:
-            raise ConfigError(f"config {cfg_path}: min_lib_files must be an integer >= 1: {min_lib_files!r}")
-        file_cap_bytes = thresholds.get("file_cap_bytes", DEFAULT_FILE_CAP_BYTES)
-        if type(file_cap_bytes) is not int or file_cap_bytes < 1:
-            raise ConfigError(f"config {cfg_path}: file_cap_bytes must be a positive integer: {file_cap_bytes!r}")
-        for name in ("paper_faithful", "loose_call_match"):
-            if type(flags.get(name, False)) is not bool:
-                raise ConfigError(f"config {cfg_path}: flags.{name} must be true or false: {flags[name]!r}")
-        return RunConfig(
-            library_specs=specs,
-            dependency_db=resolve(doc.get("dependency_db")),
-            clients_root=resolve(doc.get("clients_root")),
-            output_dir=resolve(doc.get("output_dir", "out")),
-            overlap_threshold=overlap,
-            min_lib_files=min_lib_files,
-            file_cap_bytes=file_cap_bytes,
-            paper_faithful=flags.get("paper_faithful", False),
-            loose_call_match=flags.get("loose_call_match", False),
         )
+    thresholds = _fields(top["thresholds"], "thresholds", where, "thresholds")
+    return RunConfig(
+        library_specs=specs,
+        **{key: resolve(top[key]) for key in ("dependency_db", "clients_root", "output_dir")},
+        overlap_threshold=thresholds.pop("overlap"),
+        **thresholds,  # min_lib_files, file_cap_bytes
+        **_fields(top["flags"], "flags", where, "flags"),
+        jobs=FIELDS["command line", "jobs"].default,
+    )
 
-    return artifacts.load_json(cfg_path, "config", parse, error=ConfigError)
+
+def load_config(path: str | Path) -> RunConfig:
+    cfg_path = Path(path)
+    return artifacts.load_json(cfg_path, "config", lambda doc: _run_config(doc, cfg_path), error=ConfigError)
 
 
 def load_dependency_db(path: str | Path) -> list[DependencyEntry]:
@@ -145,17 +186,9 @@ def load_dependency_db(path: str | Path) -> list[DependencyEntry]:
         entries = []
         seen: dict[tuple[str, str], str] = {}  # (library, client slug) -> client
         for i, item in enumerate(doc):
-            if not isinstance(item, dict) or "client" not in item or "library" not in item:
-                raise DependencyDbError(
-                    f"dependency db {path}: entry {i} needs \"client\" and \"library\": {item!r}"
-                )
-            if not isinstance(item["client"], str) or not isinstance(item["library"], str):
-                raise DependencyDbError(
-                    f"dependency db {path}: entry {i}: \"client\" and \"library\" must be strings: {item!r}"
-                )
-            entry = DependencyEntry(
-                client=item["client"], source=item.get("source", ""), library=item["library"]
-            )
+            # Records often come from other tools, so keys the table does not list are ignored.
+            fields = _fields(item, "dependency", f"dependency db {path}", f"entry {i}", DependencyDbError, strict=False)
+            entry = DependencyEntry(client=fields["client"], library=fields["library"])
             # Per-client artifacts are named by slug, so two clients sharing one would overwrite each other.
             key = (entry.library, _slug(entry.client))
             if key in seen:
@@ -476,9 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="run configuration JSON")
     shared.add_argument("--output", help="override the configured output directory")
-    shared.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for scanning (at most one per client)"
-    )
+    shared.add_argument("--jobs", type=int, help="worker processes for scanning (at most one per client)")
     shared.add_argument(
         "--paper-faithful",
         action="store_true",
@@ -530,27 +561,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.config:
-        config = load_config(args.config)
-    else:
-        config = RunConfig(library_specs=[], dependency_db=None, clients_root=None, output_dir="out")
+    # Without a config file every field takes its default, relative to the working directory.
+    config = load_config(args.config) if args.config else _run_config({}, Path())
     if args.output:
         config.output_dir = args.output
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1: {args.jobs}")
-    config.jobs = args.jobs
-    if args.paper_faithful:
-        config.paper_faithful = True
-    if args.loose_call_match:
-        config.loose_call_match = True
-    if args.overlap_threshold is not None:
-        if not 0.0 < args.overlap_threshold <= 1.0:
-            raise ConfigError(f"overlap threshold out of range: {args.overlap_threshold}")
-        config.overlap_threshold = args.overlap_threshold
-    if args.min_lib_files is not None:
-        if args.min_lib_files < 1:
-            raise ConfigError(f"--min-lib-files must be >= 1: {args.min_lib_files}")
-        config.min_lib_files = args.min_lib_files
+    for dest, field in (
+        ("jobs", FIELDS["command line", "jobs"]),
+        ("overlap_threshold", FIELDS["thresholds", "overlap"]),
+        ("min_lib_files", FIELDS["thresholds", "min_lib_files"]),
+    ):
+        if getattr(args, dest) is not None:
+            setattr(config, dest, _check(field, getattr(args, dest), "--" + dest.replace("_", "-")))
+    config.paper_faithful |= args.paper_faithful
+    config.loose_call_match |= args.loose_call_match
     return config
 
 
@@ -576,9 +599,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         if args.command == "report":
             return cmd_report(config, args.library, diag)
-        if args.command == "eval":
-            return cmd_eval(config.output_dir, args.tool, args.oracle, diag)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_eval(config.output_dir, args.tool, args.oracle, diag)
     except ApimeterError as exc:
         diag.emit("fatal", error=type(exc).__name__, message=str(exc))
         print(f"error: {exc}", file=sys.stderr)

@@ -9,12 +9,14 @@ precision.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .catalog import ApiCatalog
 from .errors import CatalogMismatchError, EmptyCorpusError
-from .scan import CorpusAggregate
+
+if TYPE_CHECKING:
+    from .scan import CorpusAggregate
 
 SMALL_API_ELOC = 20  # size-bucket boundary
 
@@ -129,6 +131,7 @@ def client_utilisation_distribution(agg: CorpusAggregate) -> UtilisationSummary:
     if len(values) == 1:
         q1 = med = q3 = values[0]
     else:
+        import statistics  # here, not at module top: `eval` loads this module but needs no quantiles
         q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return UtilisationSummary(
         library=agg.library,

@@ -8,9 +8,9 @@ series keep full precision.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import artifacts
-from .coverage import ImprovementReport
 from .diagnostics import Diagnostics
 from .metrics import (
     CoverageBucketReport,
@@ -22,6 +22,9 @@ from .metrics import (
     UsedNotTestedRow,
     UtilisationSummary,
 )
+
+if TYPE_CHECKING:
+    from .coverage import ImprovementReport
 
 COV_BUCKET_BOUNDS = {"under_50": "[0,50)", "from_50_to_80": "[50,80)", "over_80": "[80,100]"}
 EVAL_MODES = ("distinct", "total")

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -257,10 +258,11 @@ def _lib(doc: dict) -> dict:
         (lambda d: _lib(d).update(source_roots="libsrc"), "libraries[0].source_roots"),
         (lambda d: d.update(libraries="x"), "libraries"),
         (lambda d: _lib(d).update(name=5), "libraries[0].name"),
+        (lambda d: _lib(d).update(explicit_file_excludes=["tinykv_amalg.c", 5]), "libraries[0].explicit_file_excludes"),
         (lambda d: d.update(thresholds={"overlap_ratio": 0.5}), "thresholds.overlap_ratio"),
     ],
     ids=["excludes_str", "source_root_typo", "shared_objects_str", "output_dir_null", "source_roots_str",
-         "libraries_str", "name_int", "thresholds_unknown"],
+         "libraries_str", "name_int", "excludes_item_int", "thresholds_unknown"],
 )
 def test_config_rejects_wrong_unknown_fields(workspace, edit, field):
     cfg, out = workspace
@@ -278,6 +280,30 @@ def test_config_rejects_wrong_unknown_fields(workspace, edit, field):
     assert "ConfigError" in proc.stderr
     assert f"error: config {cfg}: {field}" in proc.stderr
     assert not out.exists() or not any(out.rglob("*"))
+
+
+def test_readme_config_example_and_field_reference_match_the_schema(tmp_path):
+    from apimeter.cli import FIELDS, load_config
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(example)
+    config = load_config(cfg)
+    doc = json.loads(example)
+    lib = doc["libraries"][0]
+    [spec] = config.library_specs
+    assert spec.name == lib["name"]
+    assert spec.shared_objects == tuple(str(tmp_path / p) for p in lib["shared_objects"])
+    assert spec.explicit_file_excludes == tuple(lib["explicit_file_excludes"])
+    assert config.output_dir == str(tmp_path / doc["output_dir"])
+    assert config.dependency_db == str(tmp_path / doc["dependency_db"])
+    assert config.overlap_threshold == doc["thresholds"]["overlap"]
+    assert config.file_cap_bytes == doc["thresholds"]["file_cap_bytes"]
+    # The field reference below the example lists every config key the schema has, and no other.
+    documented = set(re.findall(r"^\| `([\w.\[\]]+)` \|", readme, re.M))
+    labels = {"": "", "thresholds": "thresholds.", "flags": "flags.", "library": "libraries[]."}
+    assert documented == {labels[obj] + key for obj, key in FIELDS if obj in labels}
 
 
 def test_catalog_into_unwritable_output_names_it(workspace, tmp_path, capsys):
@@ -375,6 +401,26 @@ def test_coverage_process_loads_no_scan_or_report_module(workspace):
     assert "apimeter.coverage" in loaded
     others = {"apimeter.scan", "apimeter.clientprep", "apimeter.metrics", "apimeter.reports", "statistics"}
     assert loaded & others == set()
+
+
+def test_eval_process_loads_no_scan_or_coverage_module(workspace):
+    _, out = workspace
+    results = out / "eval_results.json"
+    results.parent.mkdir(parents=True)
+    results.write_text(json.dumps({"schema_version": "1.0", "clients": {"alpha": {"tk_open": 1}}}))
+    loaded = _modules_loaded_by(["eval", "--tool", str(results), "--oracle", str(results), "--output", str(out)])
+    assert "apimeter.reports" in loaded
+    assert loaded & {"apimeter.scan", "apimeter.clientprep", "apimeter.coverage", "statistics"} == set()
+
+
+def test_report_without_improvement_loads_no_coverage_module(workspace):
+    cfg, _ = workspace
+    library = ["--config", str(cfg), "--library", "tinykv"]
+    assert main(["catalog", "--config", str(cfg)]) == 0
+    assert main(["scan", *library]) == 0
+    loaded = _modules_loaded_by(["report", *library])
+    assert "apimeter.reports" in loaded
+    assert "apimeter.coverage" not in loaded
 
 
 def test_scan_jobs_capped_at_client_count(workspace, monkeypatch):
