@@ -210,6 +210,22 @@ EDGE_CASES = [
     # long comma-heavy FNDA lines, padded and clean
     "SF:a.c\nFNDA:1" + ",f" * 5000 + " \nDA:1,1\nend_of_record\n",
     "SF:a.c\nFNDA:1" + ",f" * 5000 + "\nDA:1,1\nend_of_record\n",
+    # clean records that must be summed or widened, not taken as they stand:
+    # an SF path repeated within one tracefile, its later blocks adding to the first
+    "SF:a.c\nFN:1,f\nDA:1,1\nDA:2,0\nend_of_record\nSF:b.c\nDA:1,1\nend_of_record\n"
+    "SF:a.c\nFN:1,4,f\nFN:3,g\nDA:2,5\nDA:3,1\nend_of_record\nSF:a.c\nDA:9,0\nend_of_record\n",
+    "SF:a.c\nFN:1,f\nend_of_record\nSF:a.c\nFN:2,g\nDA:1,1\nend_of_record\nSF:a.c\nFN:1,2,f\nend_of_record\n",
+    # a DA line repeated inside one clean record, next to and apart from its first
+    "SF:a.c\nDA:1,1\nDA:1,2\nDA:2,0\nend_of_record\n",
+    "SF:a.c\nFN:1,f\nDA:1,1\nDA:2,0\nDA:3,4\nDA:2,0\nDA:1,2\nend_of_record\n",
+    # a repeated FN (name, start), without end lines, with them, and mixed
+    "SF:a.c\nFN:1,f\nFN:1,f\nDA:1,1\nend_of_record\n",
+    "SF:a.c\nFN:1,5,f\nFN:1,3,f\nFN:1,7,f\nDA:1,1\nend_of_record\n",
+    "SF:a.c\nFN:1,f\nFN:2,f\nFN:1,5,f\nFN:2,g\nFN:1,f\nFN:1,3,f\nDA:1,1\nend_of_record\n",
+    # 18-digit counts on one line: two sum below MAX_COUNT, ten saturate at it
+    "SF:a.c\n" + "DA:1,999999999999999999\n" * 2 + "end_of_record\n",
+    "SF:a.c\nFN:1,f\n" + "DA:1,999999999999999999\nDA:2,1\n" * 10 + "end_of_record\n",
+    "SF:a.c\nDA:1,999999999999999999\nend_of_record\n" * 10,
 ]
 
 _COMPANION = "SF:a.c\nFN:1,3,f\nFN:5,g\nDA:1,1\nDA:2,0\nDA:5,1\nDA:6,0\nend_of_record"
@@ -226,6 +242,23 @@ def test_golden_tracefiles_match_reference():
     from conftest import GOLDEN
 
     _assert_same([p.read_text() for p in sorted(GOLDEN.glob("*.info"))])
+
+
+def test_saturating_edge_case_reaches_max_count():
+    tf = new.parse_tracefile("SF:a.c\n" + "DA:1,999999999999999999\n" * 10 + "end_of_record\n")
+    assert tf.records[0].line_counts == {1: MAX}
+
+
+def _single_run_merge_is_the_parse(text):
+    """Parsing already merges repeated paths and functions, so merging one run changes nothing."""
+    want, got = _parse_both(text)
+    if want is not None:
+        assert _shape(new.merge_tracefiles([got])) == _shape(ref.merge_tracefiles([want])) == _shape(got)
+
+
+@pytest.mark.parametrize("text", EDGE_CASES)
+def test_single_run_merge_matches_reference(text):
+    _single_run_merge_is_the_parse(text)
 
 
 # --- generated LCOV text ---------------------------------------------------------
@@ -354,3 +387,9 @@ def _clean_texts(draw):
 @given(st.lists(_clean_texts(), min_size=1, max_size=3))
 def test_generated_clean_records_match_reference(texts):
     _assert_same(texts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_clean_texts())
+def test_generated_single_run_merge_matches_reference(text):
+    _single_run_merge_is_the_parse(text)
