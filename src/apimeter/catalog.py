@@ -10,11 +10,12 @@ add APIs).
 
 from __future__ import annotations
 
-import datetime
 import os
 import re
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from pathlib import Path
+from types import MappingProxyType
+from typing import Any, NamedTuple
 
 from . import artifacts
 from .diagnostics import Diagnostics
@@ -41,8 +42,7 @@ DEFAULT_MIN_LIB_FILES = 3
 DEFAULT_FILE_CAP_BYTES = 16 * 1024 * 1024
 
 
-@dataclass(frozen=True)
-class LibrarySpec:
+class LibrarySpec(NamedTuple):
     """Where to find one library's build products and sources."""
 
     name: str
@@ -52,8 +52,7 @@ class LibrarySpec:
     explicit_file_excludes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ApiSymbol:
+class ApiSymbol(NamedTuple):
     """One public API with its entry-function location, size and coverage.
 
     eloc counts instrumented lines inside the entry function; covered_lines
@@ -76,12 +75,11 @@ class ApiSymbol:
         return 100.0 * self.covered_lines / self.eloc
 
 
-@dataclass
-class ApiCatalog:
+class ApiCatalog(NamedTuple):
     library: str
     apis: dict[str, ApiSymbol]
     created_at: str = ""
-    provenance: dict = field(default_factory=dict)
+    provenance: Mapping[str, Any] = MappingProxyType({})  # read-only, so every default shares it
 
     def names(self) -> set[str]:
         return set(self.apis)
@@ -117,6 +115,8 @@ def build_catalog(spec: LibrarySpec, diag: Diagnostics | None = None) -> ApiCata
     Symbols exported by several shared objects are kept once; per-object
     attribution is dropped.
     """
+    import datetime  # only the catalog stage stamps a time; other stages skip loading it
+
     exported: set[str] = set()
     for so in spec.shared_objects:
         exported |= exported_text_symbols(so)
@@ -151,34 +151,15 @@ def catalog_to_dict(catalog: ApiCatalog) -> dict:
         "schema_version": artifacts.SCHEMA_VERSION,
         "library": catalog.library,
         "created_at": catalog.created_at,
-        "provenance": catalog.provenance,
-        "apis": [
-            {
-                "name": a.name,
-                "defining_file": a.defining_file,
-                "entry_start": a.entry_start,
-                "entry_end": a.entry_end,
-                "eloc": a.eloc,
-                "covered_lines": a.covered_lines,
-            }
-            for _, a in sorted(catalog.apis.items())
-        ],
+        "provenance": dict(catalog.provenance),
+        "apis": [a._asdict() for _, a in sorted(catalog.apis.items())],
     }
 
 
 def catalog_from_dict(doc: dict) -> ApiCatalog:
     artifacts.check_schema_version(doc)
-    apis = {
-        entry["name"]: ApiSymbol(
-            name=entry["name"],
-            defining_file=entry.get("defining_file"),
-            entry_start=entry.get("entry_start"),
-            entry_end=entry.get("entry_end"),
-            eloc=entry.get("eloc"),
-            covered_lines=entry.get("covered_lines"),
-        )
-        for entry in doc["apis"]
-    }
+    # Every field but `name` may be missing, and then reads None.
+    apis = {entry["name"]: ApiSymbol._make(map(entry.get, ApiSymbol._fields)) for entry in doc["apis"]}
     return ApiCatalog(
         library=doc["library"],
         apis=apis,

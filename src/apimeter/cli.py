@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
@@ -43,8 +42,7 @@ if TYPE_CHECKING:
     from .scan import CorpusAggregate, ScanOptions, UsageReport
 
 
-@dataclass(frozen=True)
-class DependencyEntry:
+class DependencyEntry(NamedTuple):
     client: str
     library: str
 
@@ -109,8 +107,7 @@ def _fields(doc: Any, obj: str, where: str, scope: str, error=ConfigError, stric
             for key, field in fields.items()}
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     library_specs: list[LibrarySpec]
     dependency_db: str | None
     clients_root: str | None
@@ -147,6 +144,8 @@ def _run_config(doc: dict, cfg_path: Path) -> RunConfig:
         return None if p is None else str(cfg_path.parent / p)  # an absolute `p` replaces the base
 
     top = _fields(doc, "", where, "")
+    if top["schema_version"] is not None:  # a config may leave it out
+        artifacts.check_schema_version(top)
     specs = []
     names: dict[str, str] = {}  # slug -> library
     for i, lib in enumerate(top["libraries"]):
@@ -563,18 +562,19 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     # Without a config file every field takes its default, relative to the working directory.
     config = load_config(args.config) if args.config else _run_config({}, Path())
-    if args.output:
-        config.output_dir = args.output
+    overrides = {"output_dir": args.output} if args.output else {}
     for dest, field in (
         ("jobs", FIELDS["command line", "jobs"]),
         ("overlap_threshold", FIELDS["thresholds", "overlap"]),
         ("min_lib_files", FIELDS["thresholds", "min_lib_files"]),
     ):
         if getattr(args, dest) is not None:
-            setattr(config, dest, _check(field, getattr(args, dest), "--" + dest.replace("_", "-")))
-    config.paper_faithful |= args.paper_faithful
-    config.loose_call_match |= args.loose_call_match
-    return config
+            overrides[dest] = _check(field, getattr(args, dest), "--" + dest.replace("_", "-"))
+    return config._replace(
+        **overrides,
+        paper_faithful=config.paper_faithful or args.paper_faithful,
+        loose_call_match=config.loose_call_match or args.loose_call_match,
+    )
 
 
 def main(argv: list[str] | None = None) -> int:

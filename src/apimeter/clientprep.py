@@ -134,10 +134,16 @@ def _dir_names(listing: list[WalkEntry]) -> dict[str, set[str]]:
 
 
 def build_library_inventory(source_roots: list[str] | tuple[str, ...]) -> LibraryInventory:
-    """File-name sets for every library directory that contains sources."""
+    """File-name sets for every library directory that contains sources.
+
+    A root that is not a directory raises MissingRootError: read as an empty
+    tree, it would let the library's vendored copies count as client uses.
+    """
     dirs: dict[str, frozenset[str]] = {}
     for root_str in source_roots:
         root = Path(root_str)
+        if not root.is_dir():
+            raise MissingRootError(f"library source root is missing or not a directory: {root}")
         for rel, names in _dir_names(list(walk_tree(root))).items():
             if any(map(is_source_name, names)):
                 dirs[str(root) if rel == "." else f"{root}/{rel}"] = frozenset(names)

@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left, bisect_right
-from collections.abc import Container, Iterable
-from dataclasses import dataclass, field
+from collections.abc import Container, Iterable, Sequence
 from operator import countOf
+from typing import NamedTuple
 
 from .catalog import ApiCatalog, ApiSymbol, with_annotation
 from .diagnostics import Diagnostics
@@ -32,23 +32,22 @@ def _hit_lines(counts: dict[int, int]) -> int:
     return len(counts) - countOf(counts.values(), 0)
 
 
-@dataclass
-class FunctionRecord:
+class FunctionRecord(NamedTuple):
     name: str
     start: int
     end: int | None = None
 
 
-@dataclass
-class FileCoverage:
+class FileCoverage(NamedTuple):
+    """One instrumented file. Parse and merge fill its list and dict in place."""
+
     path: str
-    functions: list[FunctionRecord] = field(default_factory=list)
-    line_counts: dict[int, int] = field(default_factory=dict)
+    functions: list[FunctionRecord]
+    line_counts: dict[int, int]
 
 
-@dataclass
-class Tracefile:
-    records: list[FileCoverage] = field(default_factory=list)
+class Tracefile(NamedTuple):
+    records: Sequence[FileCoverage] = ()
 
     def by_path(self) -> dict[str, FileCoverage]:
         return {fc.path: fc for fc in self.records}
@@ -66,14 +65,29 @@ class Tracefile:
         return 100.0 * self.covered_lines() / total
 
 
-@dataclass
 class ImprovementReport:
-    """What a second test run adds on top of a baseline."""
+    """What a second test run adds on top of a baseline. `vars(report)` is
+    its fields, in order."""
 
-    extra_total_coverage_pct: float
-    newly_covered_apis: list[str]
-    improved_apis: list[str]
-    new_api_lines_covered: int
+    def __init__(
+        self,
+        extra_total_coverage_pct: float,
+        newly_covered_apis: list[str],
+        improved_apis: list[str],
+        new_api_lines_covered: int,
+    ):
+        self.extra_total_coverage_pct = extra_total_coverage_pct
+        self.newly_covered_apis = newly_covered_apis
+        self.improved_apis = improved_apis
+        self.new_api_lines_covered = new_api_lines_covered
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"ImprovementReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
 def _int_field(text: str, what: str, line_number: int, minimum: int = 1) -> int:
@@ -86,19 +100,23 @@ def _int_field(text: str, what: str, line_number: int, minimum: int = 1) -> int:
     return value
 
 
-_FunctionIndex = dict[tuple[str, str, int], FunctionRecord]
+# Per path, the position of each (name, start) in its file's `functions`.
+_FunctionIndex = dict[str, dict[tuple[str, int], int]]
 
 
 def _add_function(index: _FunctionIndex, fc: FileCoverage, name: str, start: int, end: int | None) -> None:
     """Record a function once per (path, name, start); repeats widen its end line."""
-    fn = index.get((fc.path, name, start))
-    if fn is None:
-        index[fc.path, name, start] = fn = FunctionRecord(name, start, end)
-        fc.functions.append(fn)
-    elif fn.end is None:
-        fn.end = end
-    elif end is not None:
-        fn.end = max(fn.end, end)
+    known = index.get(fc.path)
+    if known is None:
+        known = index[fc.path] = {(f.name, f.start): i for i, f in enumerate(fc.functions)}
+    i = known.get((name, start))
+    if i is None:
+        known[name, start] = len(fc.functions)
+        fc.functions.append(FunctionRecord(name, start, end))
+        return
+    fn = fc.functions[i]
+    if end is not None and (fn.end is None or end > fn.end):
+        fc.functions[i] = fn._replace(end=end)
 
 
 # The patterns below are compiled on first use (re keeps them cached), so stage
@@ -175,19 +193,36 @@ def _add_counts(counts: dict[int, int], pairs: Iterable[tuple[int, int]]) -> Non
 def _add_record(
     content: str, match: re.Match[str], records: dict[str, FileCoverage], functions: _FunctionIndex
 ) -> None:
-    """Merge one record that _RECORD accepted."""
+    """Merge one record that _RECORD accepted.
+
+    A file's first functions are taken in one step if the record repeats no
+    (name, start), and its first counts if it repeats no line. Anything else
+    is widened or summed in entry by entry. No field reaches MAX_COUNT, so
+    only a sum can saturate.
+    """
     path, run = match.group("path", "da")
     fc = records.get(path)
     if fc is None:
-        fc = records[path] = FileCoverage(path=path)
-    for start, end, name in re.compile(_FN_FIELDS).findall(content, match.start(), match.end()):
-        _add_function(functions, fc, name, int(start), int(end) if end else None)
+        fc = records[path] = FileCoverage(path, [], {})
+    found = re.compile(_FN_FIELDS).findall(content, match.start(), match.end())
+    # Fields have no leading zeros, so equal digits are equal numbers.
+    if not fc.functions and len({(name, start) for start, _, name in found}) == len(found):
+        fc.functions.extend([FunctionRecord(name, int(start), int(end) if end else None) for start, end, name in found])
+    else:
+        for start, end, name in found:
+            _add_function(functions, fc, name, int(start), int(end) if end else None)
     if run is None:
         return
     if run.count(",") != run.count("\n"):
         run = re.sub(_DA_CHECKSUM, r"\1", run)
     # The C JSON decoder turns the whole run into ints: line, count, line, count, ...
     values = json.loads("[" + run[3:-1].replace("\nDA:", ",") + "]")
+    if not fc.line_counts:
+        pairs = iter(values)
+        counts = dict(zip(pairs, pairs))
+        if 2 * len(counts) == len(values):
+            fc.line_counts.update(counts)
+            return
     _add_counts(fc.line_counts, zip(values[::2], values[1::2]))
 
 
@@ -233,7 +268,7 @@ def _parse_lines(
             path = line[3:].strip()
             if not path:
                 raise MalformedDirectiveError("SF with empty path", line_number)
-            current = records.setdefault(path, FileCoverage(path=path))
+            current = records.setdefault(path, FileCoverage(path, [], {}))
             counts = current.line_counts
             continue
         if line.startswith(_IGNORED):
@@ -333,7 +368,7 @@ def annotate_catalog_coverage(
     # Start from bare symbols: a rerun must not keep a previous run's annotation.
     annotated = ApiCatalog(
         library=catalog.library,
-        apis={name: ApiSymbol(name=name) for name in catalog.apis},
+        apis={name: ApiSymbol(name) for name in catalog.apis},
         created_at=catalog.created_at,
         provenance=dict(catalog.provenance),
     )
@@ -363,12 +398,22 @@ def filter_tracefile(tf: Tracefile, exclude_prefixes: list[str]) -> Tracefile:
 
 
 def merge_tracefiles(tracefiles: list[Tracefile]) -> Tracefile:
-    """Union files, sum per-line counts, union function records."""
+    """Union files, sum per-line counts, union function records.
+
+    parse_tracefile already merges repeated paths and functions and saturates
+    sums, so a file's first copy is taken as it is, and one tracefile comes
+    back itself: the result then aliases the input.
+    """
+    if len(tracefiles) == 1:
+        return tracefiles[0]
     merged: dict[str, FileCoverage] = {}
     functions: _FunctionIndex = {}
     for tf in tracefiles:
         for fc in tf.records:
-            target = merged.setdefault(fc.path, FileCoverage(path=fc.path))
+            target = merged.get(fc.path)
+            if target is None:  # a file's first copy has nothing to sum or widen
+                merged[fc.path] = FileCoverage(fc.path, list(fc.functions), dict(fc.line_counts))
+                continue
             _add_counts(target.line_counts, fc.line_counts.items())
             for fn in fc.functions:
                 _add_function(functions, target, fn.name, fn.start, fn.end)

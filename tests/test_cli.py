@@ -403,6 +403,20 @@ def test_coverage_process_loads_no_scan_or_report_module(workspace):
     assert loaded & others == set()
 
 
+def test_catalog_and_coverage_processes_load_no_dataclasses(workspace):
+    # `dataclasses` imports `inspect` (and with it `ast`, `dis` and `tokenize`): a large
+    # share of a stage process's start-up.
+    cfg, _ = workspace
+    assert main(["catalog", "--config", str(cfg)]) == 0
+    trace = str(GOLDEN / "tracefile_library.info")
+    library = ["--config", str(cfg), "--library", "tinykv"]
+    for commands in (
+        [["catalog", "--config", str(cfg)]],
+        [["coverage", *library, trace], ["coverage", *library, "--baseline", trace, "--augmented", trace]],
+    ):
+        assert _modules_loaded_by(*commands) & {"dataclasses", "inspect"} == set()
+
+
 def test_eval_process_loads_no_scan_or_coverage_module(workspace):
     _, out = workspace
     results = out / "eval_results.json"
@@ -1017,6 +1031,53 @@ def test_unsupported_schema_version_names_the_file(workspace, capsys, stage, art
     err = capsys.readouterr().err
     assert f"error: cannot load {kind} {path}: schema_version '2.0' not supported (expected 1.x)" in err
     assert "SchemaVersionError" in err
+
+
+@pytest.mark.parametrize("version", ["2.0", "0.9", ""])
+def test_config_of_unsupported_schema_version_names_the_file(workspace, capsys, version):
+    cfg, out = workspace
+    doc = json.loads(cfg.read_text())
+    doc["schema_version"] = version
+    cfg.write_text(json.dumps(doc))
+    assert main(["catalog", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot load config {cfg}: schema_version {version!r} not supported (expected 1.x)" in err
+    assert "SchemaVersionError" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("version", ["1.7", None])
+def test_config_of_supported_or_no_schema_version_runs(workspace, version):
+    cfg, out = workspace
+    doc = json.loads(cfg.read_text())
+    if version is None:
+        del doc["schema_version"]
+    else:
+        doc["schema_version"] = version
+    cfg.write_text(json.dumps(doc))
+    assert main(["catalog", "--config", str(cfg)]) == 0
+    assert (out / "catalog_tinykv.json").is_file()
+
+
+def test_missing_library_source_root_is_fatal(workspace):
+    # Read as an empty tree, the root would leave beta's vendor/tinykv in the scan.
+    cfg, out = workspace
+    assert main(["catalog", "--config", str(cfg)]) == 0
+    doc = json.loads(cfg.read_text())
+    missing = cfg.parent / "no_such_libsrc"
+    _lib(doc)["source_roots"] = [str(GOLDEN / "libsrc"), str(missing)]
+    cfg.write_text(json.dumps(doc))
+    src = str(Path(apimeter.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "apimeter", "scan", "--config", str(cfg), "--library", "tinykv"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "MissingRootError" in proc.stderr
+    assert f"error: library source root is missing or not a directory: {missing}" in proc.stderr
+    assert not (out / "usage_tinykv_corpus.json").exists()
 
 
 def test_unknown_library_is_fatal(workspace, capsys):

@@ -151,6 +151,11 @@ def test_merge_with_empty_is_identity():
     assert merged.by_path()["x.c"].line_counts == {1: 5}
 
 
+def test_merge_of_one_run_is_that_run():
+    a = parse_tracefile("SF:x.c\nFN:1,f\nDA:1,5\nend_of_record\nSF:x.c\nFN:1,4,f\nDA:1,2\nend_of_record")
+    assert merge_tracefiles([a]) is a
+
+
 def test_merge_disjoint_files_concatenates():
     a = parse_tracefile("SF:x.c\nDA:1,1\nend_of_record")
     b = parse_tracefile("SF:y.c\nDA:2,2\nend_of_record")
