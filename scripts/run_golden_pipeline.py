@@ -2,8 +2,9 @@
 """End-to-end pipeline demo on the bundled golden corpus.
 
 Synthesizes the fixture library's shared object, writes a run configuration,
-then drives every CLI stage: catalog -> scan -> coverage (+ median demo) ->
-report. Outputs land in --output (default: ./golden_out).
+then drives every CLI stage: catalog -> scan -> coverage (one tracefile, then a
+baseline/augmented pair) -> report -> eval. Outputs land in --output (default:
+./golden_out); the report bundle, `report_eval` included, in its reports/tinykv.
 """
 
 import argparse
@@ -58,7 +59,16 @@ def main() -> int:
         ["catalog", "--config", str(cfg)],
         ["scan", "--config", str(cfg), "--library", "tinykv", "--sites"],
         ["coverage", "--config", str(cfg), "--library", "tinykv", str(GOLDEN / "tracefile_library.info")],
+        [
+            "coverage", "--config", str(cfg), "--library", "tinykv",
+            "--baseline", str(GOLDEN / "tracefile_library.info"),
+            "--augmented", str(GOLDEN / "tracefile_augmented.info"),
+        ],
         ["report", "--config", str(cfg), "--library", "tinykv"],
+        [
+            "eval", "--output", str(out / "reports" / "tinykv"),
+            "--tool", str(GOLDEN / "eval_tool.json"), "--oracle", str(GOLDEN / "eval_oracle.json"),
+        ],
     ]
     for argv in stages:
         print(f"$ apimeter {' '.join(argv)}")

@@ -598,9 +598,14 @@ def test_report_bundle_matches_golden_files(workspace):
             str(GOLDEN / "tracefile_library.info"),
         ]
     )
+    library = ["--config", str(cfg), "--library", "tinykv"]
+    pair = ["--baseline", str(GOLDEN / "tracefile_library.info"), "--augmented", str(GOLDEN / "tracefile_augmented.info")]
+    assert main(["coverage", *library, *pair]) == 0
     main(["report", "--config", str(cfg), "--library", "tinykv"])
     expected_dir = GOLDEN / "expected_reports"
     produced_dir = out / "reports" / "tinykv"
+    evaluation = ["--tool", str(GOLDEN / "eval_tool.json"), "--oracle", str(GOLDEN / "eval_oracle.json")]
+    assert main(["eval", "--output", str(produced_dir), *evaluation]) == 0
     expected = sorted(p.name for p in expected_dir.iterdir())
     assert sorted(p.name for p in produced_dir.iterdir()) == expected
     for name in expected:
@@ -631,6 +636,39 @@ def test_eval_disjoint_clients_warns_and_emits_empty(tmp_path, capsys):
     assert "intersection" in capsys.readouterr().err
     doc = json.loads((out / "report_eval.json").read_text())
     assert doc["clients"] == []
+
+
+@pytest.mark.parametrize("side", ["tool", "oracle"])
+@pytest.mark.parametrize(
+    "counts, problem",
+    [
+        ({"a": "1"}, "API 'a': count must be a non-negative integer: '1'"),
+        ({"a": -3}, "API 'a': count must be a non-negative integer: -3"),
+        ({"a": True}, "API 'a': count must be a non-negative integer: True"),
+        ({"a": 1.0}, "API 'a': count must be a non-negative integer: 1.0"),
+        ([["a", 1]], "must be an object of API counts: [['a', 1]]"),
+    ],
+    ids=["string", "negative", "bool", "float", "pairs"],
+)
+def test_eval_rejects_bad_counts_naming_file_client_and_api(tmp_path, side, counts, problem):
+    paths = {name: tmp_path / f"{name}.json" for name in ("tool", "oracle")}
+    for name, path in paths.items():
+        clients = {"c1": counts if name == side else {"a": 1}}
+        path.write_text(json.dumps({"schema_version": "1.0", "clients": clients}))
+    out = tmp_path / "out"
+    src = str(Path(apimeter.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "apimeter", "eval", "--tool", str(paths["tool"]), "--oracle", str(paths["oracle"]),
+         "--output", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "InputFileError" in proc.stderr
+    assert f"error: cannot load evaluation results {paths[side]}: client 'c1'" in proc.stderr
+    assert problem in proc.stderr
+    assert not (out / "report_eval.json").exists()
 
 
 def test_eval_uacme_row_shape(tmp_path):
