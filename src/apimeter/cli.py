@@ -473,6 +473,20 @@ def cmd_report(config: RunConfig, library: str, diag: Diagnostics) -> int:
     return 0
 
 
+def _eval_results(doc: dict, path: str) -> dict[str, dict[str, int]]:
+    """The per-client API counts in `doc`, read from `path`."""
+    artifacts.check_schema_version(doc)
+    for client, counts in doc["clients"].items():
+        where = f"cannot load evaluation results {path}: client {client!r}"
+        if type(counts) is not dict:
+            raise InputFileError(f"{where} must be an object of API counts: {counts!r}")
+        for api, count in counts.items():
+            # A JSON `true` is no count, and a negative one would turn up as a negative tp or recall.
+            if type(count) is not int or count < 0:
+                raise InputFileError(f"{where}, API {api!r}: count must be a non-negative integer: {count!r}")
+    return doc["clients"]
+
+
 def cmd_eval(
     output_dir: str,
     tool_path: str,
@@ -481,23 +495,8 @@ def cmd_eval(
 ) -> int:
     from . import metrics, reports
 
-    def load(path: str) -> dict[str, dict[str, int]]:
-        def parse(doc: dict) -> dict[str, dict[str, int]]:
-            artifacts.check_schema_version(doc)
-            for client, counts in doc["clients"].items():
-                where = f"cannot load evaluation results {path}: client {client!r}"
-                if type(counts) is not dict:
-                    raise InputFileError(f"{where} must be an object of API counts: {counts!r}")
-                for api, count in counts.items():
-                    # A JSON `true` is no count, and a negative one would turn up as a negative tp or recall.
-                    if type(count) is not int or count < 0:
-                        raise InputFileError(f"{where}, API {api!r}: count must be a non-negative integer: {count!r}")
-            return doc["clients"]
-
-        return artifacts.load_json(path, "evaluation results", parse)
-
-    tool = load(tool_path)
-    oracle = load(oracle_path)
+    tool = artifacts.load_json(tool_path, "evaluation results", lambda doc: _eval_results(doc, tool_path))
+    oracle = artifacts.load_json(oracle_path, "evaluation results", lambda doc: _eval_results(doc, oracle_path))
     shared = sorted(set(tool) & set(oracle))
     if set(tool) != set(oracle):
         diag.emit(

@@ -11,10 +11,10 @@ from __future__ import annotations
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path, PurePosixPath
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple
 
 from . import artifacts
 from .catalog import DEFAULT_MIN_LIB_FILES, DEFAULT_OVERLAP_THRESHOLD, LibrarySpec, is_source_name
@@ -30,20 +30,18 @@ _ANY_SECTION = re.compile(r"\[[^\]]*\]")
 WalkEntry = tuple[str, list[str], list[str], str]
 
 
-@dataclass(frozen=True)
-class ClientRecord:
+class ClientRecord(NamedTuple):
     """A client checkout plus everything scanning must skip."""
 
     client_id: str
     root: str
     excluded_dirs: frozenset[str]
     excluded_files: frozenset[str]
-    rules: dict[str, str] = field(default_factory=dict, compare=False)
+    rules: Mapping[str, str] = MappingProxyType({})  # path -> rule; read-only, so every default shares it
     # prepare_client's walk, reused by the scan; never saved. Without one, the scan walks.
-    listing: list[WalkEntry] | None = field(default=None, compare=False, repr=False)
+    listing: list[WalkEntry] | None = None
 
 
-@dataclass(frozen=True)
 class LibraryInventory:
     """Library directories mapped to the file names they contain, recursively.
 
@@ -51,8 +49,9 @@ class LibraryInventory:
     below them appear; collected names cover every file, not just sources.
     """
 
-    dirs: dict[str, frozenset[str]]
-    _postings: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    def __init__(self, dirs: dict[str, frozenset[str]]):
+        self.dirs = dirs
+        self._postings: dict[int, dict[str, list[int]]] = {}  # per min_files
 
     def postings(self, min_files: int) -> dict[str, list[int]]:
         """File name -> ids of the directories with at least min_files names."""

@@ -1,15 +1,15 @@
 """Usage/coverage metrics and the precision-recall evaluator.
 
 Every table the pipeline reports is computed here from the catalog, the
-corpus aggregate, and (for evaluation) tool-vs-oracle count maps. Table
-percentages round half away from zero to integers; plot data keeps full
-precision.
+corpus aggregate, and (for evaluation) tool-vs-oracle count maps. Each
+table is a dict, or a list of dict rows, keyed as the report writes it.
+Table percentages round half away from zero to integers; plot data keeps
+full precision.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .catalog import ApiCatalog
@@ -36,125 +36,47 @@ def round_pct(value: float) -> int:
     return int(math.floor(value + 0.5)) if value >= 0 else -int(math.floor(-value + 0.5))
 
 
-@dataclass(frozen=True)
-class UnusedApisRow:
-    library: str
-    total: int
-    unused: int
-    unused_pct: int
-    unused_names: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class UtilisationSummary:
-    library: str
-    per_client: tuple[tuple[str, float], ...]
-    minimum: float
-    q1: float
-    median: float
-    q3: float
-    maximum: float
-
-
-@dataclass(frozen=True)
-class UseDistributionRow:
-    api: str
-    client_count: int
-    total_uses: int
-
-
-@dataclass(frozen=True)
-class CoverageBucketRow:
-    library: str
-    bucket: str
-    api_count: int
-
-
-@dataclass(frozen=True)
-class CoverageBucketReport:
-    rows: tuple[CoverageBucketRow, ...]
-    unmeasured: int
-
-
-@dataclass(frozen=True)
-class SizeBucketRow:
-    library: str
-    bucket: str
-    api_count: int
-    combined_coverage_pct: float | None
-    fully_covered_count: int
-
-
-@dataclass(frozen=True)
-class UsedNotTestedRow:
-    library: str
-    api_count: int
-    pct_of_catalog: int
-    apis: tuple[str, ...]
-    used_unmeasured: int
-
-
-@dataclass(frozen=True)
-class EvalCounts:
-    mode: str
-    tp: int
-    fp: int
-    fn: int
-
-
-@dataclass(frozen=True)
-class PrecisionRecall:
-    precision: float | None
-    recall: float | None
-
-
-def unused_apis(agg: CorpusAggregate, catalog: ApiCatalog) -> UnusedApisRow:
+def unused_apis(agg: CorpusAggregate, catalog: ApiCatalog) -> dict:
     """APIs no client uses (the retirement-candidate table row)."""
     unused = sorted(n for n in catalog.apis if agg.api_client_counts.get(n, 0) == 0)
     total = len(catalog.apis)
-    pct = round_pct(100.0 * len(unused) / total) if total else 0
-    return UnusedApisRow(
-        library=catalog.library,
-        total=total,
-        unused=len(unused),
-        unused_pct=pct,
-        unused_names=tuple(unused),
-    )
+    return {
+        "library": catalog.library,
+        "total": total,
+        "unused": len(unused),
+        "unused_pct": round_pct(100.0 * len(unused) / total) if total else 0,
+        "unused_names": tuple(unused),
+    }
 
 
-def client_utilisation_distribution(agg: CorpusAggregate) -> UtilisationSummary:
+def client_utilisation_distribution(agg: CorpusAggregate) -> dict:
     """Per-client utilisation percentages with a box-plot five-number summary."""
     if not agg.reports:
         raise EmptyCorpusError(f"{agg.library}: no clients in aggregate")
-    per_client = tuple((r.client_id, r.utilisation_pct) for r in agg.reports)
-    values = sorted(pct for _, pct in per_client)
+    values = sorted(r.utilisation_pct for r in agg.reports)
     if len(values) == 1:
         q1 = med = q3 = values[0]
     else:
         import statistics  # here, not at module top: `eval` loads this module but needs no quantiles
         q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return UtilisationSummary(
-        library=agg.library,
-        per_client=per_client,
-        minimum=values[0],
-        q1=q1,
-        median=med,
-        q3=q3,
-        maximum=values[-1],
-    )
+    return {
+        "library": agg.library,
+        "clients": [{"client": r.client_id, "utilisation_pct": r.utilisation_pct} for r in agg.reports],
+        "summary": {"min": values[0], "q1": q1, "median": med, "q3": q3, "max": values[-1]},
+    }
 
 
-def use_distribution(agg: CorpusAggregate) -> list[UseDistributionRow]:
+def use_distribution(agg: CorpusAggregate) -> list[dict]:
     """(client count, total uses) per API, for used APIs only."""
     rows = [
-        UseDistributionRow(api=api, client_count=agg.api_client_counts.get(api, 0), total_uses=uses)
+        {"api": api, "client_count": agg.api_client_counts.get(api, 0), "total_uses": uses}
         for api, uses in agg.api_total_uses.items()
         if uses > 0
     ]
-    return sorted(rows, key=lambda r: (-r.total_uses, r.api))
+    return sorted(rows, key=lambda r: (-r["total_uses"], r["api"]))
 
 
-def coverage_buckets(catalog: ApiCatalog) -> CoverageBucketReport:
+def coverage_buckets(catalog: ApiCatalog) -> dict:
     """Partition measured APIs by coverage: [0,50), [50,80), [80,100]."""
     counts = {BUCKET_UNDER_50: 0, BUCKET_50_TO_80: 0, BUCKET_OVER_80: 0}
     unmeasured = 0
@@ -168,14 +90,11 @@ def coverage_buckets(catalog: ApiCatalog) -> CoverageBucketReport:
             counts[BUCKET_50_TO_80] += 1
         else:
             counts[BUCKET_OVER_80] += 1
-    rows = tuple(
-        CoverageBucketRow(library=catalog.library, bucket=b, api_count=counts[b])
-        for b in (BUCKET_UNDER_50, BUCKET_50_TO_80, BUCKET_OVER_80)
-    )
-    return CoverageBucketReport(rows=rows, unmeasured=unmeasured)
+    rows = [{"library": catalog.library, "bucket": b, "api_count": n} for b, n in counts.items()]
+    return {"rows": rows, "unmeasured": unmeasured}
 
 
-def size_buckets(catalog: ApiCatalog) -> list[SizeBucketRow]:
+def size_buckets(catalog: ApiCatalog) -> list[dict]:
     """Small (<= 20 ELOC) vs large APIs, with combined coverage per bucket."""
     rows = []
     annotated = catalog.annotated()
@@ -186,20 +105,18 @@ def size_buckets(catalog: ApiCatalog) -> list[SizeBucketRow]:
         total_eloc = sum(a.eloc for a in members)
         total_covered = sum(a.covered_lines for a in members)
         rows.append(
-            SizeBucketRow(
-                library=catalog.library,
-                bucket=bucket,
-                api_count=len(members),
-                combined_coverage_pct=(100.0 * total_covered / total_eloc) if total_eloc else None,
-                fully_covered_count=sum(
-                    1 for a in members if a.eloc > 0 and a.covered_lines == a.eloc
-                ),
-            )
+            {
+                "library": catalog.library,
+                "bucket": bucket,
+                "api_count": len(members),
+                "combined_coverage_pct": (100.0 * total_covered / total_eloc) if total_eloc else None,
+                "fully_covered_count": sum(1 for a in members if a.eloc > 0 and a.covered_lines == a.eloc),
+            }
         )
     return rows
 
 
-def used_not_tested(agg: CorpusAggregate, catalog: ApiCatalog) -> UsedNotTestedRow:
+def used_not_tested(agg: CorpusAggregate, catalog: ApiCatalog) -> dict:
     """APIs clients call that the library test suite never executes.
 
     Counts measured-and-zero-covered APIs; used APIs missing from coverage
@@ -215,25 +132,32 @@ def used_not_tested(agg: CorpusAggregate, catalog: ApiCatalog) -> UsedNotTestedR
         elif api.covered_lines == 0:
             untested.append(name)
     total = len(catalog.apis)
-    return UsedNotTestedRow(
-        library=catalog.library,
-        api_count=len(untested),
-        pct_of_catalog=round_pct(100.0 * len(untested) / total) if total else 0,
-        apis=tuple(sorted(untested)),
-        used_unmeasured=used_unmeasured,
-    )
+    return {
+        "library": catalog.library,
+        "api_count": len(untested),
+        "pct_of_catalog": round_pct(100.0 * len(untested) / total) if total else 0,
+        "apis": tuple(sorted(untested)),
+        "used_unmeasured": used_unmeasured,
+    }
 
 
-def _ratio(num: int, den: int) -> float | None:
-    return num / den if den > 0 else None
+def _agreement(tp: int, fp: int, fn: int) -> dict:
+    return {
+        "tp": tp,
+        "fp": fp,
+        "fn": fn,
+        "precision": tp / (tp + fp) if tp + fp > 0 else None,
+        "recall": tp / (tp + fn) if tp + fn > 0 else None,
+    }
 
 
 def precision_recall(
     tool: dict[str, int],
     oracle: dict[str, int],
     catalog_apis: set[str] | None = None,
-) -> dict[str, tuple[EvalCounts, PrecisionRecall]]:
-    """Tool-vs-oracle agreement in distinct and total modes.
+) -> dict[str, dict]:
+    """Tool-vs-oracle agreement in distinct and total modes: each mode's
+    tp, fp and fn, and its precision and recall (None on a zero denominator).
 
     Distinct mode compares the sets of APIs each side reports used; total
     mode compares per-API counts as multisets (shared occurrences are true
@@ -246,9 +170,6 @@ def precision_recall(
 
     tool_pos = {a for a, c in tool.items() if c > 0}
     oracle_pos = {a for a, c in oracle.items() if c > 0}
-    d_tp = len(tool_pos & oracle_pos)
-    d_fp = len(tool_pos - oracle_pos)
-    d_fn = len(oracle_pos - tool_pos)
 
     t_tp = t_fp = t_fn = 0
     for api in tool_pos | oracle_pos:
@@ -259,12 +180,6 @@ def precision_recall(
         t_fn += max(0, o - t)
 
     return {
-        DISTINCT: (
-            EvalCounts(DISTINCT, d_tp, d_fp, d_fn),
-            PrecisionRecall(_ratio(d_tp, d_tp + d_fp), _ratio(d_tp, d_tp + d_fn)),
-        ),
-        TOTAL: (
-            EvalCounts(TOTAL, t_tp, t_fp, t_fn),
-            PrecisionRecall(_ratio(t_tp, t_tp + t_fp), _ratio(t_tp, t_tp + t_fn)),
-        ),
+        DISTINCT: _agreement(len(tool_pos & oracle_pos), len(tool_pos - oracle_pos), len(oracle_pos - tool_pos)),
+        TOTAL: _agreement(t_tp, t_fp, t_fn),
     }

@@ -12,96 +12,68 @@ from typing import TYPE_CHECKING
 
 from . import artifacts
 from .diagnostics import Diagnostics
-from .metrics import (
-    CoverageBucketReport,
-    EvalCounts,
-    PrecisionRecall,
-    SizeBucketRow,
-    UnusedApisRow,
-    UseDistributionRow,
-    UsedNotTestedRow,
-    UtilisationSummary,
-)
 
 if TYPE_CHECKING:
     from .coverage import ImprovementReport
 
 COV_BUCKET_BOUNDS = {"under_50": "[0,50)", "from_50_to_80": "[50,80)", "over_80": "[80,100]"}
-EVAL_MODES = ("distinct", "total")
 
 
-def _fields(items) -> list[dict]:
-    """Each dataclass row as {field: value}; report keys are the field names.
-    Shallow on purpose: `dataclasses.asdict` deep-copies every value."""
-    return [vars(item) for item in items]
-
-
-def _utilisation_rows(summary: UtilisationSummary) -> list[dict]:
-    return [{"client": c, "utilisation_pct": pct} for c, pct in summary.per_client]
-
-
-def _eval_json(counts: EvalCounts, pr: PrecisionRecall) -> dict:
-    return {"tp": counts.tp, "fp": counts.fp, "fn": counts.fn, "precision": pr.precision, "recall": pr.recall}
-
-
-def _eval_row(client: str, results: dict[str, tuple[EvalCounts, PrecisionRecall]]) -> dict:
+def _eval_row(client: str, modes: dict[str, dict]) -> dict:
     row: dict = {"client": client}
-    for mode in EVAL_MODES:
-        pr = results[mode][1]
-        for metric, value in (("precision", pr.precision), ("recall", pr.recall)):
+    for mode, result in modes.items():
+        for metric in ("precision", "recall"):
+            value = result[metric]
             row[f"{metric}_{mode}"] = None if value is None else round(value, 2)
     return row
 
 
 # One entry per report, in bundle order: (report name, `emit_reports` keyword,
-# JSON payload of the keyword's value, CSV header, CSV rows of the value as
-# dicts; each CSV column reads the row key named in the header).
+# JSON payload of the keyword's value, CSV header, CSV rows of the value;
+# each CSV column reads the row key named in the header). The values are the
+# tables `metrics` computes, already keyed as the reports write them.
 REPORTS = (
     (
         "report_unused",
         "unused",
-        lambda rows: {"rows": _fields(rows)},
+        lambda rows: {"rows": rows},
         ["library", "total", "unused", "unused_pct"],
-        _fields,
+        list,
     ),
     (
         "report_utilisation",
         "utilisation",
-        lambda s: {
-            "library": s.library,
-            "clients": _utilisation_rows(s),
-            "summary": {"min": s.minimum, "q1": s.q1, "median": s.median, "q3": s.q3, "max": s.maximum},
-        },
+        dict,
         ["client", "utilisation_pct"],
-        _utilisation_rows,
+        lambda summary: summary["clients"],
     ),
     (
         "report_use_distribution",
         "uses",
-        lambda rows: {"rows": _fields(rows)},
+        lambda rows: {"rows": rows},
         ["api", "client_count", "total_uses"],
-        _fields,
+        list,
     ),
     (
         "report_cov_buckets",
         "cov_buckets",
-        lambda report: {"bucket_bounds": COV_BUCKET_BOUNDS, "rows": _fields(report.rows), "unmeasured": report.unmeasured},
+        lambda report: {"bucket_bounds": COV_BUCKET_BOUNDS, **report},
         ["library", "bucket", "api_count"],
-        lambda report: _fields(report.rows),
+        lambda report: report["rows"],
     ),
     (
         "report_size_buckets",
         "size_rows",
-        lambda rows: {"rows": _fields(rows)},
+        lambda rows: {"rows": rows},
         ["library", "bucket", "api_count", "combined_coverage_pct", "fully_covered_count"],
-        _fields,
+        list,
     ),
     (
         "report_used_not_tested",
         "not_tested",
-        vars,
+        dict,
         ["library", "api_count", "pct_of_catalog", "used_unmeasured"],
-        lambda row: [vars(row)],
+        lambda row: [row],
     ),
     (
         "report_improvement",
@@ -121,12 +93,7 @@ REPORTS = (
     (
         "report_eval",
         "evaluation",
-        lambda per_client: {
-            "clients": [
-                {"client": c, **{m: _eval_json(*per_client[c][m]) for m in EVAL_MODES}}
-                for c in sorted(per_client)
-            ]
-        },
+        lambda per_client: {"clients": [{"client": c, **per_client[c]} for c in sorted(per_client)]},
         ["client", "precision_distinct", "recall_distinct", "precision_total", "recall_total"],
         lambda per_client: [_eval_row(c, per_client[c]) for c in sorted(per_client)],
     ),
@@ -148,14 +115,14 @@ def _announce(path: Path, diag: Diagnostics | None) -> Path:
 def emit_reports(
     directory: str | Path,
     *,
-    unused: list[UnusedApisRow] | None = None,
-    utilisation: UtilisationSummary | None = None,
-    uses: list[UseDistributionRow] | None = None,
-    cov_buckets: CoverageBucketReport | None = None,
-    size_rows: list[SizeBucketRow] | None = None,
-    not_tested: UsedNotTestedRow | None = None,
+    unused: list[dict] | None = None,
+    utilisation: dict | None = None,
+    uses: list[dict] | None = None,
+    cov_buckets: dict | None = None,
+    size_rows: list[dict] | None = None,
+    not_tested: dict | None = None,
     improvement: tuple[str, ImprovementReport] | None = None,
-    evaluation: dict[str, dict[str, tuple[EvalCounts, PrecisionRecall]]] | None = None,
+    evaluation: dict[str, dict[str, dict]] | None = None,
     diag: Diagnostics | None = None,
 ) -> list[Path]:
     """Write every report whose inputs were computed; returns written paths."""

@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 from .catalog import DEFAULT_FILE_CAP_BYTES, ApiCatalog, is_source_name
@@ -34,8 +33,7 @@ class UseSite(NamedTuple):
     api: str
 
 
-@dataclass
-class UsageReport:
+class UsageReport(NamedTuple):
     client_id: str
     library: str
     uses: dict[str, int]
@@ -57,14 +55,13 @@ class UsageReport:
         return 100.0 * self.distinct_count / self.catalog_size
 
 
-@dataclass
-class CorpusAggregate:
+class CorpusAggregate(NamedTuple):
     library: str
     catalog_size: int
-    reports: list[UsageReport] = field(default_factory=list)
-    api_client_counts: dict[str, int] = field(default_factory=dict)
-    api_total_uses: dict[str, int] = field(default_factory=dict)
-    clients_without_uses: list[str] = field(default_factory=list)
+    reports: list[UsageReport]
+    api_client_counts: dict[str, int]
+    api_total_uses: dict[str, int]
+    clients_without_uses: list[str]
 
 
 # --- comment / string lexing -------------------------------------------------
@@ -159,8 +156,7 @@ def _call_sites(
     return found
 
 
-@dataclass(frozen=True)
-class ScanOptions:
+class ScanOptions(NamedTuple):
     paper_faithful: bool = False
     loose_call_match: bool = False
     file_cap_bytes: int = DEFAULT_FILE_CAP_BYTES
@@ -265,13 +261,15 @@ def scan_client(
 
 def aggregate_reports(library: str, catalog_size: int, reports: list[UsageReport]) -> CorpusAggregate:
     """Fold per-client reports; commutative, so any merge order is valid."""
-    agg = CorpusAggregate(library=library, catalog_size=catalog_size)
-    agg.reports = sorted(reports, key=lambda r: r.client_id)
-    for report in agg.reports:
+    ordered = sorted(reports, key=lambda r: r.client_id)
+    client_counts: dict[str, int] = {}
+    total_uses: dict[str, int] = {}
+    without_uses = []
+    for report in ordered:
         if report.distinct_count == 0:
-            agg.clients_without_uses.append(report.client_id)
+            without_uses.append(report.client_id)
         for api, count in report.uses.items():
             if count > 0:
-                agg.api_client_counts[api] = agg.api_client_counts.get(api, 0) + 1
-                agg.api_total_uses[api] = agg.api_total_uses.get(api, 0) + count
-    return agg
+                client_counts[api] = client_counts.get(api, 0) + 1
+                total_uses[api] = total_uses.get(api, 0) + count
+    return CorpusAggregate(library, catalog_size, ordered, client_counts, total_uses, without_uses)

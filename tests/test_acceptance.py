@@ -73,7 +73,7 @@ def test_unused_api_rows_reproduce_published_numbers(total, unused, pct):
     )
     agg = aggregate_reports("lib", total, [report])
     row = unused_apis(agg, catalog)
-    assert (row.total, row.unused, row.unused_pct) == (total, unused, pct)
+    assert (row["total"], row["unused"], row["unused_pct"]) == (total, unused, pct)
     _ok(f"unused row ({total}, {unused}) -> {pct}%")
 
 
@@ -83,10 +83,10 @@ def test_unused_api_rows_reproduce_published_numbers(total, unused, pct):
 def test_precision_recall_reproduces_published_row():
     oracle = {f"s{i}": 1 for i in range(62)} | {"oracle_only": 1}
     tool = {f"s{i}": 1 for i in range(62)} | {f"fp{i}": 1 for i in range(37)}
-    counts, pr = precision_recall(tool, oracle)["distinct"]
-    assert (counts.tp, counts.fp, counts.fn) == (62, 37, 1)
-    assert round(pr.precision, 2) == 0.63
-    assert round(pr.recall, 2) == 0.98
+    result = precision_recall(tool, oracle)["distinct"]
+    assert (result["tp"], result["fp"], result["fn"]) == (62, 37, 1)
+    assert round(result["precision"], 2) == 0.63
+    assert round(result["recall"], 2) == 0.98
     _ok("P/R row: tp=62 fp=37 fn=1 -> 0.63/0.98")
 
 
@@ -94,9 +94,8 @@ def test_precision_recall_identity_is_perfect():
     counts = {"a": 4, "b": 2, "c": 1}
     result = precision_recall(counts, dict(counts))
     for mode in ("distinct", "total"):
-        _, pr = result[mode]
-        assert round(pr.precision, 2) == 1.00
-        assert round(pr.recall, 2) == 1.00
+        assert round(result[mode]["precision"], 2) == 1.00
+        assert round(result[mode]["recall"], 2) == 1.00
     _ok("P/R identity: 1.00/1.00 in both modes")
 
 
@@ -285,8 +284,8 @@ def _catalogs(draw):
 @given(_catalogs())
 def test_property_bucket_partitions_sum_to_catalog(catalog):
     cov = coverage_buckets(catalog)
-    assert sum(r.api_count for r in cov.rows) + cov.unmeasured == len(catalog.apis)
-    assert sum(r.api_count for r in size_buckets(catalog)) == len(catalog.annotated())
+    assert sum(r["api_count"] for r in cov["rows"]) + cov["unmeasured"] == len(catalog.apis)
+    assert sum(r["api_count"] for r in size_buckets(catalog)) == len(catalog.annotated())
 
 
 _count_maps = st.dictionaries(
@@ -302,18 +301,17 @@ def test_property_swap_symmetry(tool, oracle):
     forward = precision_recall(tool, oracle)
     backward = precision_recall(oracle, tool)
     for mode in ("distinct", "total"):
-        f_counts, f_pr = forward[mode]
-        b_counts, b_pr = backward[mode]
-        assert (f_counts.fp, f_counts.fn) == (b_counts.fn, b_counts.fp)
-        assert f_pr.precision == b_pr.recall and f_pr.recall == b_pr.precision
+        f, b = forward[mode], backward[mode]
+        assert (f["fp"], f["fn"]) == (b["fn"], b["fp"])
+        assert f["precision"] == b["recall"] and f["recall"] == b["precision"]
 
 
 @HUNDRED_CASES
 @given(_count_maps, _count_maps)
 def test_property_total_mode_identities(tool, oracle):
-    counts, _ = precision_recall(tool, oracle)["total"]
-    assert counts.tp + counts.fp == sum(tool.values())
-    assert counts.tp + counts.fn == sum(oracle.values())
+    result = precision_recall(tool, oracle)["total"]
+    assert result["tp"] + result["fp"] == sum(tool.values())
+    assert result["tp"] + result["fn"] == sum(oracle.values())
 
 
 def test_property_suites_marker():

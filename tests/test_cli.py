@@ -403,18 +403,23 @@ def test_coverage_process_loads_no_scan_or_report_module(workspace):
     assert loaded & others == set()
 
 
-def test_catalog_and_coverage_processes_load_no_dataclasses(workspace):
+def test_stage_processes_load_no_dataclasses(workspace):
     # `dataclasses` imports `inspect` (and with it `ast`, `dis` and `tokenize`): a large
     # share of a stage process's start-up.
-    cfg, _ = workspace
+    cfg, out = workspace
     assert main(["catalog", "--config", str(cfg)]) == 0
     trace = str(GOLDEN / "tracefile_library.info")
     library = ["--config", str(cfg), "--library", "tinykv"]
-    for commands in (
+    evaluation = ["--tool", str(GOLDEN / "eval_tool.json"), "--oracle", str(GOLDEN / "eval_oracle.json")]
+    for commands in (  # in pipeline order, so each stage finds the artifacts it reads
         [["catalog", "--config", str(cfg)]],
+        [["scan", *library]],
+        [["scan", *library, "--jobs", "2", "--sites"]],
         [["coverage", *library, trace], ["coverage", *library, "--baseline", trace, "--augmented", trace]],
+        [["report", *library]],
+        [["eval", "--output", str(out / "eval"), *evaluation]],
     ):
-        assert _modules_loaded_by(*commands) & {"dataclasses", "inspect"} == set()
+        assert _modules_loaded_by(*commands) & {"dataclasses", "inspect"} == set(), commands
 
 
 def test_eval_process_loads_no_scan_or_coverage_module(workspace):
