@@ -617,6 +617,20 @@ def test_report_bundle_matches_golden_files(workspace):
         assert (produced_dir / name).read_bytes() == (expected_dir / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("sites", [False, True])
+def test_scan_artifacts_match_golden_files(workspace, sites, jobs):
+    cfg, out = workspace
+    main(["catalog", "--config", str(cfg)])
+    flags = ["--sites"] if sites else []
+    assert main(["scan", "--config", str(cfg), "--library", "tinykv", "--jobs", jobs, *flags]) == 0
+    expected_dir = GOLDEN / "expected_scan"
+    expected = sorted(p.name for p in expected_dir.iterdir() if sites or not p.name.endswith(".sites.txt"))
+    assert sorted(p.name for p in out.glob("*") if p.name.startswith(("prep_", "usage_"))) == expected
+    for name in expected:
+        assert (out / name).read_bytes() == (expected_dir / name).read_bytes(), name
+
+
 def test_eval_identity_all_ones(tmp_path):
     results = {"schema_version": "1.0", "clients": {"c1": {"a": 3, "b": 1}}}
     tool = tmp_path / "tool.json"
