@@ -10,8 +10,10 @@ add APIs).
 
 from __future__ import annotations
 
+import errno
 import os
 import re
+import stat
 from collections.abc import Mapping
 from pathlib import Path
 from types import MappingProxyType
@@ -20,7 +22,7 @@ from typing import Any, NamedTuple
 from . import artifacts
 from .diagnostics import Diagnostics
 from .elf import exported_text_symbols
-from .errors import EmptyCatalogError, EmptyHeaderSetError
+from .errors import EmptyCatalogError, EmptyHeaderSetError, InputFileError
 
 HEADER_EXTENSIONS = {".h", ".hh", ".hpp", ".hxx"}
 SOURCE_EXTENSIONS = {".c", ".cc", ".cpp", ".cxx"} | HEADER_EXTENSIONS
@@ -33,6 +35,38 @@ def is_source_name(name: str) -> bool:
 
 
 C_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def read_text(path: str, cap_bytes: int | None = None) -> str | None:
+    """The whole file at path as UTF-8 text, undecodable bytes replaced; None
+    when it is larger than cap_bytes.
+
+    One open, one fstat of that descriptor for the size, one read and one
+    close. A file that cannot be opened is stat'ed by path, so one over the
+    cap still reads as too large. Errors are the OSError open() would raise,
+    path included (a directory gives IsADirectoryError).
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        if cap_bytes is not None and os.stat(path).st_size > cap_bytes:
+            return None
+        raise
+    try:
+        info = os.fstat(fd)
+        if cap_bytes is not None and info.st_size > cap_bytes:
+            return None
+        if stat.S_ISDIR(info.st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        data = os.read(fd, info.st_size + 1)
+        if len(data) != info.st_size:  # it changed size since the fstat: read to the end
+            chunks = [data]
+            while chunks[-1]:
+                chunks.append(os.read(fd, 1 << 16))
+            data = b"".join(chunks)
+    finally:
+        os.close(fd)
+    return data.decode("utf-8", errors="replace")
 
 # Defaults of the client-preparation and scan settings. They live here because
 # every stage loads this module, so the CLI's configuration reads them without
@@ -92,7 +126,8 @@ def harvest_header_identifiers(header_root: str | Path) -> set[str]:
     """Every C identifier token in any header under header_root.
 
     Headers are read as UTF-8 with undecodable bytes replaced; comments are
-    not stripped (harmless for a filter set).
+    not stripped (harmless for a filter set). A header that cannot be read
+    raises InputFileError naming it.
     """
     root = Path(header_root)
     identifiers: set[str] = set()
@@ -102,7 +137,11 @@ def harvest_header_identifiers(header_root: str | Path) -> set[str]:
             if Path(fname).suffix.lower() not in HEADER_EXTENSIONS:
                 continue
             found_header = True
-            text = (Path(dirpath) / fname).read_bytes().decode("utf-8", errors="replace")
+            path = os.path.join(dirpath, fname)
+            try:
+                text = read_text(path)
+            except OSError as exc:
+                raise InputFileError(f"cannot read header {path}: {exc}") from exc
             identifiers.update(C_IDENTIFIER.findall(text))
     if not found_header:
         raise EmptyHeaderSetError(f"no header files under {root}")

@@ -51,10 +51,6 @@ class EmptyCorpusError(ApimeterError):
     """An aggregate over zero clients cannot yield a distribution."""
 
 
-class CatalogMismatchError(ApimeterError):
-    """Tool/oracle result maps mention APIs outside the catalog."""
-
-
 class ReportIoError(ApimeterError):
     """An artifact or report file, or its directory, could not be written; names the path."""
 

@@ -13,7 +13,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .catalog import ApiCatalog
-from .errors import CatalogMismatchError, EmptyCorpusError
+from .errors import EmptyCorpusError
 
 if TYPE_CHECKING:
     from .scan import CorpusAggregate
@@ -151,11 +151,7 @@ def _agreement(tp: int, fp: int, fn: int) -> dict:
     }
 
 
-def precision_recall(
-    tool: dict[str, int],
-    oracle: dict[str, int],
-    catalog_apis: set[str] | None = None,
-) -> dict[str, dict]:
+def precision_recall(tool: dict[str, int], oracle: dict[str, int]) -> dict[str, dict]:
     """Tool-vs-oracle agreement in distinct and total modes: each mode's
     tp, fp and fn, and its precision and recall (None on a zero denominator).
 
@@ -163,11 +159,6 @@ def precision_recall(
     mode compares per-API counts as multisets (shared occurrences are true
     positives, surpluses false positives, deficits false negatives).
     """
-    if catalog_apis is not None:
-        stray = (set(tool) | set(oracle)) - catalog_apis
-        if stray:
-            raise CatalogMismatchError(f"result maps mention non-catalog APIs: {sorted(stray)[:5]}")
-
     tool_pos = {a for a, c in tool.items() if c > 0}
     oracle_pos = {a for a, c in oracle.items() if c > 0}
 

@@ -12,12 +12,11 @@ regions count — under some build configuration they are real calls.
 
 from __future__ import annotations
 
-import os
 import re
 from collections import Counter
 from typing import Iterable, Iterator, NamedTuple
 
-from .catalog import DEFAULT_FILE_CAP_BYTES, ApiCatalog, is_source_name
+from .catalog import DEFAULT_FILE_CAP_BYTES, ApiCatalog, is_source_name, read_text
 from .clientprep import ClientRecord, walk_tree
 from .diagnostics import Diagnostics
 
@@ -229,15 +228,14 @@ def iter_client_sources(
                     diag.emit("file_excluded", client=rec.client_id, path=rel)
                 continue
             try:
-                if os.stat(path + fname).st_size > options.file_cap_bytes:
-                    if diag:
-                        diag.emit("file_too_large", client=rec.client_id, path=rel)
-                    continue
-                with open(path + fname, "rb") as fh:
-                    text = fh.read().decode("utf-8", errors="replace")
+                text = read_text(path + fname, options.file_cap_bytes)
             except OSError as exc:
                 if diag:
                     diag.emit("file_unreadable", client=rec.client_id, path=rel, error=str(exc))
+                continue
+            if text is None:
+                if diag:
+                    diag.emit("file_too_large", client=rec.client_id, path=rel)
                 continue
             yield rel, text
 

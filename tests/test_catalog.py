@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from apimeter.catalog import (
     build_catalog,
     harvest_header_identifiers,
     load_catalog,
+    read_text,
     save_catalog,
 )
 from apimeter.errors import EmptyCatalogError, EmptyHeaderSetError, InputFileError, SchemaVersionError
@@ -50,6 +52,31 @@ def test_harvest_recurses_and_accepts_all_header_suffixes(tmp_path):
     ids = harvest_header_identifiers(tmp_path)
     assert {"from_h", "from_hpp", "from_hxx", "from_hh"} <= ids
     assert "from_c" not in ids
+
+
+def test_harvest_of_unreadable_header_names_it(tmp_path):
+    (tmp_path / "a.h").write_text("int a;\n")
+    (tmp_path / "b.h").symlink_to(tmp_path / "gone.h")
+    with pytest.raises(InputFileError, match=f"cannot read header {tmp_path / 'b.h'}: .*No such file"):
+        harvest_header_identifiers(tmp_path)
+
+
+@pytest.mark.parametrize("reported", [-5, 5])
+def test_read_text_reads_to_the_end_whatever_fstat_reported(tmp_path, monkeypatch, reported):
+    # A file that grew or shrank between the fstat and the read is still read whole.
+    path = tmp_path / "a.c"
+    path.write_bytes(b"x" * 70000 + b"\xff")
+    real_fstat = os.fstat
+
+    def fstat(fd):
+        info = list(real_fstat(fd))
+        info[6] += reported
+        return os.stat_result(info)
+
+    monkeypatch.setattr(os, "fstat", fstat)
+    assert read_text(str(path)) == "x" * 70000 + "\ufffd"
+    assert read_text(str(path), 70001 + reported) == "x" * 70000 + "\ufffd"
+    assert read_text(str(path), 70000 + reported) is None
 
 
 def _spec(tmp_path, so_names, header_text, name="lib"):

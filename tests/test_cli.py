@@ -82,6 +82,22 @@ def test_catalog_of_undersized_symbol_entries_names_the_object(workspace, capsys
     assert not (out / "catalog_tinykv.json").exists()
 
 
+def test_catalog_of_unreadable_header_names_it(workspace, tmp_path, capsys):
+    cfg, out = workspace
+    headers = tmp_path / "include"
+    headers.mkdir()
+    (headers / "tinykv.h").write_bytes((GOLDEN / "install" / "include" / "tinykv.h").read_bytes())
+    (headers / "dangling.h").symlink_to(tmp_path / "nowhere.h")
+    doc = json.loads(cfg.read_text())
+    doc["libraries"][0]["header_root"] = str(headers)
+    cfg.write_text(json.dumps(doc))
+    assert main(["catalog", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert '"error": "InputFileError"' in err
+    assert f"error: cannot read header {headers / 'dangling.h'}: [Errno 2] No such file or directory" in err
+    assert not (out / "catalog_tinykv.json").exists()
+
+
 def test_catalog_missing_shared_object(tmp_path, capsys):
     config = {
         "libraries": [
@@ -301,7 +317,8 @@ def test_readme_config_example_and_field_reference_match_the_schema(tmp_path):
     assert config.overlap_threshold == doc["thresholds"]["overlap"]
     assert config.file_cap_bytes == doc["thresholds"]["file_cap_bytes"]
     # The field reference below the example lists every config key the schema has, and no other.
-    documented = set(re.findall(r"^\| `([\w.\[\]]+)` \|", readme, re.M))
+    reference = re.search(r"^Config fields .*?\n\n(.*?)\n\n", readme, re.M | re.S).group(1)
+    documented = set(re.findall(r"^\| `([\w.\[\]]+)` \|", reference, re.M))
     labels = {"": "", "thresholds": "thresholds.", "flags": "flags.", "library": "libraries[]."}
     assert documented == {labels[obj] + key for obj, key in FIELDS if obj in labels}
 

@@ -10,7 +10,10 @@ pointing outside the root), vendored copies nested in one another at, just
 above and just below the overlap threshold, explicitly excluded files inside
 excluded directories, empty directories and directories of non-source files,
 uppercase, dotfile and trailing-dot names, a symlinked directory and a
-broken file symlink.
+broken file symlink. Fixed cases check the file read itself: a file at the
+size cap and one byte over, an empty file, invalid UTF-8, a directory listed
+as a file, a file over the cap that cannot be opened, and a file without
+read permission.
 """
 
 import os
@@ -164,6 +167,63 @@ def test_broken_symlink_error_text_matches_reference(tmp_path, monkeypatch, rela
     want = _walk(ref.iter_client_sources, rec, scan.ScanOptions())
     assert [e["event"] for e in want[1]] == ["file_unreadable", "file_unreadable"]
     assert _walk(scan.iter_client_sources, rec, scan.ScanOptions()) == want
+
+
+def _listed_as_files(monkeypatch, rec: ClientRecord) -> None:
+    """Make the reference walk see the record's hand-built listing, as the rewrite does."""
+    walk = [(path.rstrip("/") or ".", list(dirs), list(files)) for _, dirs, files, path in rec.listing]
+    monkeypatch.setattr(ref, "os", type("os", (), {"walk": staticmethod(lambda root: iter(walk))}))
+
+
+def _refuse_open(monkeypatch, name: str) -> None:
+    """os.open of `name` fails as on a file without read permission, which even root then cannot open."""
+    real_open = os.open
+
+    def refusing(path, *args, **kwargs):
+        if os.path.basename(path) == name:
+            raise PermissionError(13, "Permission denied", path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", refusing)
+
+
+CAP = 10
+
+
+@pytest.mark.parametrize("case", ["at_cap", "over_cap", "empty", "invalid_utf8", "directory", "directory_over_cap",
+                                  "over_cap_unopenable"])
+def test_read_path_matches_reference(tmp_path, monkeypatch, case):
+    files = {"at_cap": b"x" * CAP, "over_cap": b"x" * (CAP + 1), "empty": b"",
+             "invalid_utf8": b"\xff(\xc3\n\xe2\x82", "over_cap_unopenable": b"lk_open(1);\n"}
+    if case in files:
+        (tmp_path / f"{case}.c").write_bytes(files[case])
+    (tmp_path / "ok.c").write_text("f(0);\n")
+    cap = scan.DEFAULT_FILE_CAP_BYTES if case == "directory" else CAP
+    rec = ClientRecord("c1", str(tmp_path), frozenset(), frozenset())
+    if case.startswith("directory"):
+        (tmp_path / "x.c").mkdir()
+        rec = rec._replace(listing=[(".", [], ["ok.c", "x.c"], f"{tmp_path}/")])
+        _listed_as_files(monkeypatch, rec)
+    if case == "over_cap_unopenable":
+        _refuse_open(monkeypatch, f"{case}.c")
+    options = scan.ScanOptions(file_cap_bytes=cap)
+    want = _walk(ref.iter_client_sources, rec, options)
+    expected_event = {"at_cap": [], "empty": [], "invalid_utf8": [], "directory": ["file_unreadable"]}
+    assert [e["event"] for e in want[1]] == expected_event.get(case, ["file_too_large"])
+    assert _walk(scan.iter_client_sources, rec, options) == want
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root opens a file whatever its permission bits")
+@pytest.mark.parametrize("size, event", [(CAP, "file_unreadable"), (CAP + 1, "file_too_large")])
+def test_permission_denied_matches_reference(tmp_path, size, event):
+    locked = tmp_path / "locked.c"
+    locked.write_bytes(b"x" * size)
+    locked.chmod(0)
+    rec = ClientRecord("c1", str(tmp_path), frozenset(), frozenset())
+    options = scan.ScanOptions(file_cap_bytes=CAP)
+    want = _walk(ref.iter_client_sources, rec, options)
+    assert [e["event"] for e in want[1]] == [event]
+    assert _walk(scan.iter_client_sources, rec, options) == want
 
 
 _names = st.sets(st.sampled_from([f"f{i}.c" for i in range(10)]), max_size=10)

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from apimeter.catalog import ApiCatalog, ApiSymbol
-from apimeter.errors import CatalogMismatchError, EmptyCorpusError
+from apimeter.errors import EmptyCorpusError
 from apimeter.metrics import (
     BUCKET_50_TO_80,
     BUCKET_LARGE,
@@ -263,11 +263,6 @@ def test_precision_recall_zero_denominators_absent():
     for mode in ("distinct", "total"):
         assert result[mode]["precision"] is None
         assert result[mode]["recall"] is None
-
-
-def test_precision_recall_catalog_mismatch():
-    with pytest.raises(CatalogMismatchError):
-        precision_recall({"stranger": 1}, {}, catalog_apis={"a", "b"})
 
 
 def test_round_pct_half_away_from_zero():
