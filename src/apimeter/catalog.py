@@ -68,6 +68,7 @@ def read_text(path: str, cap_bytes: int | None = None) -> str | None:
         os.close(fd)
     return data.decode("utf-8", errors="replace")
 
+
 # Defaults of the client-preparation and scan settings. They live here because
 # every stage loads this module, so the CLI's configuration reads them without
 # importing those stages.
