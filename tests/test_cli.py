@@ -530,9 +530,10 @@ def test_coverage_median_flag(workspace, tmp_path):
     assert tk_open["covered_lines"] == 5  # the median run, not the merge
 
 
-def test_coverage_baseline_augmented_writes_improvement(workspace, tmp_path):
+def test_coverage_baseline_augmented_writes_improvement(workspace, tmp_path, capsys):
     cfg, out = workspace
     main(["catalog", "--config", str(cfg)])
+    capsys.readouterr()
     base = tmp_path / "base.info"
     base.write_text(
         "SF:/b/tk_open.c\nFN:1,4,tk_open\nDA:1,0\nDA:2,0\nDA:3,0\nend_of_record\n"
@@ -560,6 +561,7 @@ def test_coverage_baseline_augmented_writes_improvement(workspace, tmp_path):
     doc = json.loads((out / "improvement_tinykv.json").read_text())
     assert doc["newly_covered_apis"] == ["tk_open"]
     assert doc["new_api_lines_covered"] == 2
+    assert capsys.readouterr().out == "tinykv: +66.7pp total coverage, 1 newly covered, 0 improved\n"
 
 
 @pytest.mark.parametrize(
@@ -632,6 +634,8 @@ def test_report_bundle_matches_golden_files(workspace):
     assert sorted(p.name for p in produced_dir.iterdir()) == expected
     for name in expected:
         assert (produced_dir / name).read_bytes() == (expected_dir / name).read_bytes(), name
+    improvement = "improvement_tinykv.json"
+    assert (out / improvement).read_bytes() == (GOLDEN / "expected_coverage" / improvement).read_bytes()
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
