@@ -38,7 +38,6 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .coverage import ImprovementReport
     from .scan import CorpusAggregate, ScanOptions, UsageReport
 
 
@@ -274,16 +273,11 @@ def corpus_from_dict(doc: dict) -> CorpusAggregate:
     return aggregate_reports(doc["library"], doc["catalog_size"], reports_list)
 
 
-def improvement_from_dict(doc: dict) -> ImprovementReport:
-    from .coverage import ImprovementReport
-
+def improvement_from_dict(doc: dict) -> dict:
+    """The improvement report in the artifact `doc`: the four fields `coverage_delta` returns."""
     artifacts.check_schema_version(doc)
-    return ImprovementReport(
-        extra_total_coverage_pct=doc["extra_total_coverage_pct"],
-        newly_covered_apis=doc["newly_covered_apis"],
-        improved_apis=doc["improved_apis"],
-        new_api_lines_covered=doc["new_api_lines_covered"],
-    )
+    keys = ("extra_total_coverage_pct", "newly_covered_apis", "improved_apis", "new_api_lines_covered")
+    return {key: doc[key] for key in keys}
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -433,11 +427,11 @@ def cmd_coverage(
         delta = coverage.coverage_delta(parse_path(baseline), parse_path(augmented), catalog, diag)
         artifacts.write_json(
             improvement_path(config, library),
-            {"schema_version": artifacts.SCHEMA_VERSION, "library": library, **vars(delta)},
+            {"schema_version": artifacts.SCHEMA_VERSION, "library": library, **delta},
         )
         print(
-            f"{library}: +{delta.extra_total_coverage_pct:.1f}pp total coverage, "
-            f"{len(delta.newly_covered_apis)} newly covered, {len(delta.improved_apis)} improved"
+            f"{library}: +{delta['extra_total_coverage_pct']:.1f}pp total coverage, "
+            f"{len(delta['newly_covered_apis'])} newly covered, {len(delta['improved_apis'])} improved"
         )
     elif not tracefile_paths:
         raise ConfigError("coverage needs tracefiles, or --baseline/--augmented")

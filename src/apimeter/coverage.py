@@ -65,31 +65,6 @@ class Tracefile(NamedTuple):
         return 100.0 * self.covered_lines() / total
 
 
-class ImprovementReport:
-    """What a second test run adds on top of a baseline. `vars(report)` is
-    its fields, in order."""
-
-    def __init__(
-        self,
-        extra_total_coverage_pct: float,
-        newly_covered_apis: list[str],
-        improved_apis: list[str],
-        new_api_lines_covered: int,
-    ):
-        self.extra_total_coverage_pct = extra_total_coverage_pct
-        self.newly_covered_apis = newly_covered_apis
-        self.improved_apis = improved_apis
-        self.new_api_lines_covered = new_api_lines_covered
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        return f"ImprovementReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
-
-
 def _int_field(text: str, what: str, line_number: int, minimum: int = 1) -> int:
     try:
         value = int(text)
@@ -433,8 +408,9 @@ def coverage_delta(
     augmented: Tracefile,
     catalog: ApiCatalog,
     diag: Diagnostics | None = None,
-) -> ImprovementReport:
-    """Classify every catalog API by what the augmented run adds.
+) -> dict:
+    """Classify every catalog API by what the augmented run adds: the
+    improvement report, as its artifact holds it.
 
     Both runs are compared over the union of their instrumented lines and a
     single set of function extents (from the merged view), so runs whose
@@ -479,17 +455,12 @@ def coverage_delta(
         elif base_cov > 0 and aug_cov > base_cov:
             improved.append(name)
 
-    report = ImprovementReport(
-        extra_total_coverage_pct=overall(aug_counts) - overall(base_counts),
-        newly_covered_apis=newly,
-        improved_apis=improved,
-        new_api_lines_covered=new_api_lines,
-    )
+    extra_pct = overall(aug_counts) - overall(base_counts)
     if diag:
-        diag.emit(
-            "coverage_delta",
-            extra_pct=report.extra_total_coverage_pct,
-            newly=len(newly),
-            improved=len(improved),
-        )
-    return report
+        diag.emit("coverage_delta", extra_pct=extra_pct, newly=len(newly), improved=len(improved))
+    return {
+        "extra_total_coverage_pct": extra_pct,
+        "newly_covered_apis": newly,
+        "improved_apis": improved,
+        "new_api_lines_covered": new_api_lines,
+    }

@@ -8,13 +8,9 @@ series keep full precision.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import artifacts
 from .diagnostics import Diagnostics
-
-if TYPE_CHECKING:
-    from .coverage import ImprovementReport
 
 COV_BUCKET_BOUNDS = {"under_50": "[0,50)", "from_50_to_80": "[50,80)", "over_80": "[80,100]"}
 
@@ -78,15 +74,15 @@ REPORTS = (
     (
         "report_improvement",
         "improvement",
-        lambda imp: {"library": imp[0], **vars(imp[1])},
+        lambda imp: {"library": imp[0], **imp[1]},
         ["library", "extra_total_coverage_pct", "newly_covered", "improved", "new_api_lines_covered"],
         lambda imp: [
             {
                 "library": imp[0],
-                "extra_total_coverage_pct": imp[1].extra_total_coverage_pct,
-                "newly_covered": len(imp[1].newly_covered_apis),
-                "improved": len(imp[1].improved_apis),
-                "new_api_lines_covered": imp[1].new_api_lines_covered,
+                "extra_total_coverage_pct": imp[1]["extra_total_coverage_pct"],
+                "newly_covered": len(imp[1]["newly_covered_apis"]),
+                "improved": len(imp[1]["improved_apis"]),
+                "new_api_lines_covered": imp[1]["new_api_lines_covered"],
             }
         ],
     ),
@@ -121,7 +117,7 @@ def emit_reports(
     cov_buckets: dict | None = None,
     size_rows: list[dict] | None = None,
     not_tested: dict | None = None,
-    improvement: tuple[str, ImprovementReport] | None = None,
+    improvement: tuple[str, dict] | None = None,
     evaluation: dict[str, dict[str, dict]] | None = None,
     diag: Diagnostics | None = None,
 ) -> list[Path]:

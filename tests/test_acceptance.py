@@ -122,9 +122,9 @@ def test_coverage_attribution_matches_hand_counts(golden_catalog, oracle):
         assert re_annotated.apis[name].eloc == annotated.apis[name].eloc
 
     delta = coverage_delta(tf, tf, annotated)
-    assert delta.extra_total_coverage_pct == 0.0
-    assert delta.newly_covered_apis == [] and delta.improved_apis == []
-    assert delta.new_api_lines_covered == 0
+    assert delta["extra_total_coverage_pct"] == 0.0
+    assert delta["newly_covered_apis"] == [] and delta["improved_apis"] == []
+    assert delta["new_api_lines_covered"] == 0
     _ok("coverage attribution exact; self-merge stable; delta(x,x) zero")
 
 
@@ -157,13 +157,13 @@ def test_improvement_report_shape():
     report = coverage_delta(
         parse_tracefile(baseline_text), parse_tracefile(augmented_text), catalog
     )
-    assert report.newly_covered_apis == ["f1", "f2", "f3", "f4"]
-    assert report.improved_apis == ["f5", "f6", "f7", "f8"]
-    assert report.extra_total_coverage_pct > 0.0
-    assert report.new_api_lines_covered == 4 * 12 + 4 * 10
-    assert not set(report.newly_covered_apis) & set(report.improved_apis)
+    assert report["newly_covered_apis"] == ["f1", "f2", "f3", "f4"]
+    assert report["improved_apis"] == ["f5", "f6", "f7", "f8"]
+    assert report["extra_total_coverage_pct"] > 0.0
+    assert report["new_api_lines_covered"] == 4 * 12 + 4 * 10
+    assert not set(report["newly_covered_apis"]) & set(report["improved_apis"])
     _ok(
-        f"improvement report: 4 newly + 4 improved, +{report.extra_total_coverage_pct:.1f}pp"
+        f"improvement report: 4 newly + 4 improved, +{report['extra_total_coverage_pct']:.1f}pp"
     )
 
 

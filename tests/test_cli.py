@@ -450,10 +450,17 @@ def test_eval_process_loads_no_scan_or_coverage_module(workspace):
 
 
 def test_report_without_improvement_loads_no_coverage_module(workspace):
-    cfg, _ = workspace
+    cfg, out = workspace
     library = ["--config", str(cfg), "--library", "tinykv"]
     assert main(["catalog", "--config", str(cfg)]) == 0
     assert main(["scan", *library]) == 0
+    loaded = _modules_loaded_by(["report", *library])
+    assert "apimeter.reports" in loaded
+    assert "apimeter.coverage" not in loaded
+    # Nor with an improvement artifact to read: it is a plain JSON object.
+    trace = str(GOLDEN / "tracefile_library.info")
+    assert main(["coverage", *library, "--baseline", trace, "--augmented", trace]) == 0
+    assert (out / "improvement_tinykv.json").is_file()
     loaded = _modules_loaded_by(["report", *library])
     assert "apimeter.reports" in loaded
     assert "apimeter.coverage" not in loaded

@@ -206,17 +206,17 @@ def test_median_even_takes_lower():
 def test_delta_identity_is_zero_report(golden_catalog):
     tf = parse_tracefile((GOLDEN / "tracefile_library.info").read_text())
     report = coverage_delta(tf, tf, golden_catalog)
-    assert report.extra_total_coverage_pct == 0.0
-    assert report.newly_covered_apis == []
-    assert report.improved_apis == []
-    assert report.new_api_lines_covered == 0
+    assert report["extra_total_coverage_pct"] == 0.0
+    assert report["newly_covered_apis"] == []
+    assert report["improved_apis"] == []
+    assert report["new_api_lines_covered"] == 0
 
 
 def test_delta_from_empty_baseline_counts_api_lines():
     aug = parse_tracefile("SF:a.c\nFN:1,4,f\nDA:1,1\nDA:2,1\nDA:3,1\nDA:9,1\nend_of_record")
     report = coverage_delta(Tracefile(), aug, make_catalog(["f"]))
-    assert report.new_api_lines_covered == 3
-    assert report.newly_covered_apis == ["f"]
+    assert report["new_api_lines_covered"] == 3
+    assert report["newly_covered_apis"] == ["f"]
 
 
 def test_delta_file_set_mismatch():
@@ -236,10 +236,10 @@ def test_delta_classifies_new_improved_unchanged():
         "DA:1,1\nDA:2,0\nDA:10,1\nDA:11,5\nDA:20,1\nDA:21,1\nend_of_record"
     )
     report = coverage_delta(base, aug, make_catalog(["fnew", "fimp", "fsame"]))
-    assert report.newly_covered_apis == ["fnew"]
-    assert report.improved_apis == ["fimp"]
-    assert report.new_api_lines_covered == 2
-    assert report.extra_total_coverage_pct == pytest.approx(100.0 * 2 / 6)
+    assert report["newly_covered_apis"] == ["fnew"]
+    assert report["improved_apis"] == ["fimp"]
+    assert report["new_api_lines_covered"] == 2
+    assert report["extra_total_coverage_pct"] == pytest.approx(100.0 * 2 / 6)
 
 
 # --- properties ---------------------------------------------------------------
@@ -284,10 +284,10 @@ def test_merge_associative(a, b, c):
 def test_delta_self_is_always_zero(tf):
     catalog = make_catalog([fn.name for fc in tf.records for fn in fc.functions] or ["f"])
     report = coverage_delta(tf, tf, catalog)
-    assert report.extra_total_coverage_pct == 0.0
-    assert not report.newly_covered_apis
-    assert not report.improved_apis
-    assert report.new_api_lines_covered == 0
+    assert report["extra_total_coverage_pct"] == 0.0
+    assert not report["newly_covered_apis"]
+    assert not report["improved_apis"]
+    assert report["new_api_lines_covered"] == 0
 
 
 @given(tracefiles(), tracefiles())
@@ -297,14 +297,14 @@ def test_delta_against_merged_superset_is_monotone(base, extra):
         [fn.name for fc in augmented.records for fn in fc.functions] or ["f"]
     )
     report = coverage_delta(base, augmented, catalog)
-    assert report.extra_total_coverage_pct >= 0.0
-    assert report.new_api_lines_covered >= 0
+    assert report["extra_total_coverage_pct"] >= 0.0
+    assert report["new_api_lines_covered"] >= 0
     # dual direction: nothing may look improved when the superset is the baseline
     reverse = coverage_delta(augmented, base, catalog)
-    assert reverse.extra_total_coverage_pct == -report.extra_total_coverage_pct
-    assert reverse.newly_covered_apis == []
-    assert reverse.improved_apis == []
-    assert reverse.new_api_lines_covered == 0
+    assert reverse["extra_total_coverage_pct"] == -report["extra_total_coverage_pct"]
+    assert reverse["newly_covered_apis"] == []
+    assert reverse["improved_apis"] == []
+    assert reverse["new_api_lines_covered"] == 0
 
 
 @given(tracefiles())

@@ -52,7 +52,7 @@ def _delta_both(want_pair, got_pair, names):
     assert got_err == want_err
     assert got_events == want_events
     if want is not None:
-        assert vars(got) == vars(want)
+        assert got == vars(want)
 
 
 def _annotate_both(want_tf, got_tf, names):

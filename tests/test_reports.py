@@ -1,7 +1,6 @@
 import json
 
 from apimeter.catalog import ApiCatalog
-from apimeter.coverage import ImprovementReport
 from apimeter.metrics import (
     client_utilisation_distribution,
     coverage_buckets,
@@ -39,7 +38,11 @@ def _full_inputs(catalog: ApiCatalog):
         cov_buckets=coverage_buckets(catalog),
         size_rows=size_buckets(catalog),
         not_tested=used_not_tested(agg, catalog),
-        improvement=(catalog.library, ImprovementReport(1.5, ["a"], ["b"], 7)),
+        improvement=(
+            catalog.library,
+            {"extra_total_coverage_pct": 1.5, "newly_covered_apis": ["a"], "improved_apis": ["b"],
+             "new_api_lines_covered": 7},
+        ),
     )
 
 
