@@ -14,6 +14,7 @@ import errno
 import os
 import re
 import stat
+import sys
 from collections.abc import Mapping
 from pathlib import Path
 from types import MappingProxyType
@@ -38,16 +39,21 @@ C_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def read_text(path: str, cap_bytes: int | None = None) -> str | None:
-    """The whole file at path as UTF-8 text, undecodable bytes replaced; None
-    when it is larger than cap_bytes.
+    """The whole regular file at path as UTF-8 text, undecodable bytes
+    replaced; None when it is larger than cap_bytes.
 
-    One open, one fstat of that descriptor for the size, one read and one
-    close. A file that cannot be opened is stat'ed by path, so one over the
-    cap still reads as too large. Errors are the OSError open() would raise,
-    path included (a directory gives IsADirectoryError).
+    One open, one fstat of that descriptor for the size and type, one read
+    and one close. A file that cannot be opened is stat'ed by path, so one
+    over the cap still reads as too large. Errors are the OSError open()
+    would raise, path included (a directory gives IsADirectoryError). The
+    open never blocks, and a file that is not regular (a FIFO, a device)
+    raises an OSError naming it, so neither can hang the read or fill memory.
+    A file that changed size since the fstat is read on to its end; with a
+    cap, the read on stops after cap_bytes + 1 more bytes, and the file then
+    reads as too large.
     """
     try:
-        fd = os.open(path, os.O_RDONLY)
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     except OSError:
         if cap_bytes is not None and os.stat(path).st_size > cap_bytes:
             return None
@@ -58,11 +64,17 @@ def read_text(path: str, cap_bytes: int | None = None) -> str | None:
             return None
         if stat.S_ISDIR(info.st_mode):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not stat.S_ISREG(info.st_mode):
+            raise OSError(f"Not a regular file (mode {stat.filemode(info.st_mode)}): {path!r}")
         data = os.read(fd, info.st_size + 1)
-        if len(data) != info.st_size:  # it changed size since the fstat: read to the end
+        if len(data) != info.st_size:  # it changed size since the fstat: read on to the end
             chunks = [data]
-            while chunks[-1]:
-                chunks.append(os.read(fd, 1 << 16))
+            left = sys.maxsize if cap_bytes is None else cap_bytes + 1
+            while chunks[-1] and left:
+                chunks.append(os.read(fd, min(left, 1 << 16)))
+                left -= len(chunks[-1])
+            if not left:
+                return None
             data = b"".join(chunks)
     finally:
         os.close(fd)
@@ -127,13 +139,21 @@ def harvest_header_identifiers(header_root: str | Path) -> set[str]:
     """Every C identifier token in any header under header_root.
 
     Headers are read as UTF-8 with undecodable bytes replaced; comments are
-    not stripped (harmless for a filter set). A header that cannot be read
-    raises InputFileError naming it.
+    not stripped (harmless for a filter set). A header that cannot be read,
+    or a directory under header_root that cannot be listed, raises
+    InputFileError naming it: left out, its identifiers would silently leave
+    the filter set.
     """
     root = Path(header_root)
     identifiers: set[str] = set()
     found_header = False
-    for dirpath, _dirnames, filenames in os.walk(root):
+
+    def unlistable(exc: OSError) -> None:
+        # A missing root, or one that is no directory, holds no headers: EmptyHeaderSetError below.
+        if not isinstance(exc, (FileNotFoundError, NotADirectoryError)):
+            raise InputFileError(f"cannot list header directory {exc.filename}: {exc}") from exc
+
+    for dirpath, _dirnames, filenames in os.walk(root, onerror=unlistable):
         for fname in sorted(filenames):
             if Path(fname).suffix.lower() not in HEADER_EXTENSIONS:
                 continue

@@ -17,9 +17,9 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
 from . import artifacts
-from .catalog import DEFAULT_MIN_LIB_FILES, DEFAULT_OVERLAP_THRESHOLD, LibrarySpec, is_source_name
+from .catalog import DEFAULT_MIN_LIB_FILES, DEFAULT_OVERLAP_THRESHOLD, LibrarySpec, is_source_name, read_text
 from .diagnostics import Diagnostics
-from .errors import MissingRootError
+from .errors import InputFileError, MissingRootError
 
 _SECTION = re.compile(r"\[\s*submodule\b[^\]]*\]")
 _ANY_SECTION = re.compile(r"\[[^\]]*\]")
@@ -94,8 +94,10 @@ def walk_tree(
 ) -> Iterator[WalkEntry]:
     """Walk root top-down as os.walk does, with names sorted, yielding WalkEntries.
 
-    Symlinked directories are listed but never descended. A directory that
-    cannot be listed is left out, with a `dir_unreadable` event.
+    Symlinked directories are listed but never descended. In a client's tree
+    (`client` given), a directory that cannot be listed is left out, with a
+    `dir_unreadable` event. A walk for no client is of a library tree, where
+    that raises InputFileError naming the directory.
     """
     base = str(Path(root))
     stack = [(".", "" if base == "." else os.path.join(base, ""))]
@@ -114,6 +116,8 @@ def walk_tree(
                     if is_dir and not entry.is_symlink():
                         descend.append((sub + entry.name, path + entry.name + "/"))
         except OSError as exc:
+            if client is None:
+                raise InputFileError(f"cannot list library directory {os.path.normpath(path or '.')}: {exc}") from exc
             if diag:
                 diag.emit("dir_unreadable", client=client, path=rel, error=str(exc))
             continue
@@ -135,8 +139,10 @@ def _dir_names(listing: list[WalkEntry]) -> dict[str, set[str]]:
 def build_library_inventory(source_roots: list[str] | tuple[str, ...]) -> LibraryInventory:
     """File-name sets for every library directory that contains sources.
 
-    A root that is not a directory raises MissingRootError: read as an empty
-    tree, it would let the library's vendored copies count as client uses.
+    A root that is not a directory raises MissingRootError, and a directory
+    under it that cannot be listed InputFileError: read as an empty tree, or
+    as a smaller one, a root would let the library's vendored copies count as
+    client uses.
     """
     dirs: dict[str, frozenset[str]] = {}
     for root_str in source_roots:
@@ -198,15 +204,21 @@ def prepare_client(
     excluded_dirs: set[str] = set()
 
     manifest = root_path / ".gitmodules"
+    declared = ""
     if manifest.is_file():
-        for sub in parse_submodule_manifest(manifest.read_text(errors="replace"), diag):
-            rel = PurePosixPath(sub).as_posix().rstrip("/")
-            if rel.startswith("/") or ".." in rel.split("/"):
-                if diag:
-                    diag.emit("submodule_outside_root", client=client_id, path=sub)
-                continue
-            excluded_dirs.add(rel)
-            rules[rel] = "submodule"
+        try:
+            declared = read_text(str(manifest))
+        except OSError as exc:  # then the client is prepared without submodule rules
+            if diag:
+                diag.emit("file_unreadable", client=client_id, path=".gitmodules", error=str(exc))
+    for sub in parse_submodule_manifest(declared, diag):
+        rel = PurePosixPath(sub).as_posix().rstrip("/")
+        if rel.startswith("/") or ".." in rel.split("/"):
+            if diag:
+                diag.emit("submodule_outside_root", client=client_id, path=sub)
+            continue
+        excluded_dirs.add(rel)
+        rules[rel] = "submodule"
 
     listing = list(walk_tree(root_path, diag, client_id))
     for rel in select_vendored(_dir_names(listing), inv, threshold, min_lib_files):
