@@ -62,9 +62,9 @@ def read_text(path: str, cap_bytes: int | None = None) -> str | None:
         info = os.fstat(fd)
         if cap_bytes is not None and info.st_size > cap_bytes:
             return None
-        if stat.S_ISDIR(info.st_mode):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         if not stat.S_ISREG(info.st_mode):
+            if stat.S_ISDIR(info.st_mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             raise OSError(f"Not a regular file (mode {stat.filemode(info.st_mode)}): {path!r}")
         data = os.read(fd, info.st_size + 1)
         if len(data) != info.st_size:  # it changed size since the fstat: read on to the end

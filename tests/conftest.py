@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -64,3 +65,15 @@ def call_lines(source: str, api: str, loose: bool = False, paper_faithful: bool 
     options = ScanOptions(loose_call_match=loose, paper_faithful=paper_faithful, collect_sites=True)
     _, sites = scan_sources([("f.c", source)], {api}, options)
     return [site.line for site in sites]
+
+
+def refuse_open(monkeypatch, name: str) -> None:
+    """os.open of `name` fails as on a file without read permission, which even root then cannot open."""
+    real_open = os.open
+
+    def refusing(path, *args, **kwargs):
+        if os.path.basename(path) == name:
+            raise PermissionError(13, "Permission denied", path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", refusing)

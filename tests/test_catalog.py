@@ -79,6 +79,23 @@ def test_read_text_reads_to_the_end_whatever_fstat_reported(tmp_path, monkeypatc
     assert read_text(str(path), 70000 + reported) is None
 
 
+def test_read_text_stops_reading_on_past_the_cap(tmp_path, monkeypatch):
+    # A file that grew after the fstat is read on to its end, but for at most the cap and one byte more.
+    path = tmp_path / "a.c"
+    path.write_bytes(b"x" * 300)
+    real_fstat = os.fstat
+
+    def fstat(fd):
+        info = list(real_fstat(fd))
+        info[6] = 10
+        return os.stat_result(info)
+
+    monkeypatch.setattr(os, "fstat", fstat)
+    assert read_text(str(path), 289) == "x" * 300
+    assert read_text(str(path), 288) is None
+    assert read_text(str(path)) == "x" * 300
+
+
 def _spec(tmp_path, so_names, header_text, name="lib"):
     so = elfsynth.write_shared_object(
         tmp_path / f"{name}.so", [elfsynth.function(n) for n in so_names]

@@ -28,6 +28,7 @@ import reference_clientprep as ref
 from apimeter import clientprep, scan
 from apimeter.catalog import LibrarySpec
 from apimeter.clientprep import ClientRecord, LibraryInventory
+from conftest import refuse_open
 from apimeter.diagnostics import Diagnostics
 
 EXPLICIT = "amalg.c"
@@ -175,18 +176,6 @@ def _listed_as_files(monkeypatch, rec: ClientRecord) -> None:
     monkeypatch.setattr(ref, "os", type("os", (), {"walk": staticmethod(lambda root: iter(walk))}))
 
 
-def _refuse_open(monkeypatch, name: str) -> None:
-    """os.open of `name` fails as on a file without read permission, which even root then cannot open."""
-    real_open = os.open
-
-    def refusing(path, *args, **kwargs):
-        if os.path.basename(path) == name:
-            raise PermissionError(13, "Permission denied", path)
-        return real_open(path, *args, **kwargs)
-
-    monkeypatch.setattr(os, "open", refusing)
-
-
 CAP = 10
 
 
@@ -208,7 +197,7 @@ def test_read_path_matches_reference(tmp_path, monkeypatch, case, events):
         rec = rec._replace(listing=[(".", [], ["ok.c", "x.c"], f"{tmp_path}/")])
         _listed_as_files(monkeypatch, rec)
     if case == "over_cap_unopenable":
-        _refuse_open(monkeypatch, f"{case}.c")
+        refuse_open(monkeypatch, f"{case}.c")
     options = scan.ScanOptions(file_cap_bytes=cap)
     want = _walk(ref.iter_client_sources, rec, options)
     assert [e["event"] for e in want[1]] == events

@@ -19,12 +19,12 @@ from pathlib import Path
 import pytest
 
 import apimeter
-from apimeter.catalog import harvest_header_identifiers, read_text
+from apimeter.catalog import harvest_header_identifiers
 from apimeter.cli import main
 from apimeter.clientprep import build_library_inventory, prepare_client
 from apimeter.diagnostics import Diagnostics
 from apimeter.errors import InputFileError
-from conftest import GOLDEN, synth_golden_so
+from conftest import GOLDEN, refuse_open, synth_golden_so
 
 ADDRESS_SPACE = 256 << 20
 
@@ -108,40 +108,11 @@ def test_catalog_refuses_fifo_or_device_header(tree, kind):
     assert not (tmp / "out" / "catalog_tinykv.json").exists()
 
 
-def test_read_text_stops_reading_on_past_the_cap(tmp_path, monkeypatch):
-    # A file that grows after the fstat is read on to its end, but by at most the cap and one byte.
-    path = tmp_path / "a.c"
-    path.write_bytes(b"x" * 300)
-    real_fstat = os.fstat
-
-    def fstat(fd):
-        info = list(real_fstat(fd))
-        info[6] = 10
-        return os.stat_result(info)
-
-    monkeypatch.setattr(os, "fstat", fstat)
-    assert read_text(str(path), 289) == "x" * 300
-    assert read_text(str(path), 288) is None
-    assert read_text(str(path)) == "x" * 300
-
-
-def _refuse_open(monkeypatch, name: str) -> None:
-    """os.open of `name` fails as on a file without read permission, which even root then cannot open."""
-    real_open = os.open
-
-    def refusing(path, *args, **kwargs):
-        if os.path.basename(path) == name:
-            raise PermissionError(13, "Permission denied", path)
-        return real_open(path, *args, **kwargs)
-
-    monkeypatch.setattr(os, "open", refusing)
-
-
 def test_unreadable_gitmodules_is_an_event(golden_spec, monkeypatch):
     inv = build_library_inventory([str(GOLDEN / "libsrc")])
     root = GOLDEN / "clients" / "alpha"
     assert prepare_client("alpha", root, golden_spec, inv).rules == {"third_party/tinykv": "submodule"}
-    _refuse_open(monkeypatch, ".gitmodules")
+    refuse_open(monkeypatch, ".gitmodules")
     diag = Diagnostics()
     rec = prepare_client("alpha", root, golden_spec, inv, diag=diag)
     assert "submodule" not in rec.rules.values()
@@ -166,7 +137,7 @@ def _refuse_listing(monkeypatch, directory: Path) -> None:
 
 
 def _header_tree(tmp_path: Path) -> Path:
-    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub").mkdir(parents=True)
     (tmp_path / "a.h").write_text("int x;\n")
     (tmp_path / "sub" / "b.h").write_text("int tk_open(void);\n")
     return tmp_path / "sub"
