@@ -67,7 +67,7 @@ def read_text(path: str, cap_bytes: int | None = None) -> str | None:
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             raise OSError(f"Not a regular file (mode {stat.filemode(info.st_mode)}): {path!r}")
         data = os.read(fd, info.st_size + 1)
-        if len(data) != info.st_size:  # it changed size since the fstat: read on to the end
+        if len(data) != info.st_size:  # it changed size since the fstat: read to the end
             chunks = [data]
             left = sys.maxsize if cap_bytes is None else cap_bytes + 1
             while chunks[-1] and left:

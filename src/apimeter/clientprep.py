@@ -204,21 +204,21 @@ def prepare_client(
     excluded_dirs: set[str] = set()
 
     manifest = root_path / ".gitmodules"
-    declared = ""
     if manifest.is_file():
         try:
             declared = read_text(str(manifest))
         except OSError as exc:  # then the client is prepared without submodule rules
+            declared = ""
             if diag:
                 diag.emit("file_unreadable", client=client_id, path=".gitmodules", error=str(exc))
-    for sub in parse_submodule_manifest(declared, diag):
-        rel = PurePosixPath(sub).as_posix().rstrip("/")
-        if rel.startswith("/") or ".." in rel.split("/"):
-            if diag:
-                diag.emit("submodule_outside_root", client=client_id, path=sub)
-            continue
-        excluded_dirs.add(rel)
-        rules[rel] = "submodule"
+        for sub in parse_submodule_manifest(declared, diag):
+            rel = PurePosixPath(sub).as_posix().rstrip("/")
+            if rel.startswith("/") or ".." in rel.split("/"):
+                if diag:
+                    diag.emit("submodule_outside_root", client=client_id, path=sub)
+                continue
+            excluded_dirs.add(rel)
+            rules[rel] = "submodule"
 
     listing = list(walk_tree(root_path, diag, client_id))
     for rel in select_vendored(_dir_names(listing), inv, threshold, min_lib_files):

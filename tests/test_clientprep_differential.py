@@ -28,8 +28,8 @@ import reference_clientprep as ref
 from apimeter import clientprep, scan
 from apimeter.catalog import LibrarySpec
 from apimeter.clientprep import ClientRecord, LibraryInventory
-from conftest import refuse_open
 from apimeter.diagnostics import Diagnostics
+from conftest import refuse_open
 
 EXPLICIT = "amalg.c"
 APIS = ("lk_open", "lk_close")
