@@ -15,7 +15,7 @@ import os
 import re
 import stat
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, NamedTuple
@@ -79,6 +79,47 @@ def read_text(path: str, cap_bytes: int | None = None) -> str | None:
     finally:
         os.close(fd)
     return data.decode("utf-8", errors="replace")
+
+
+# One walked directory: its path relative to the root, its sorted subdirectory and other
+# (file, broken link) names, and the prefix that makes their paths ("" for a root of ".").
+WalkEntry = tuple[str, list[str], list[str], str]
+
+
+def walk_tree(
+    root: str | Path, diag: Diagnostics | None = None, client: str | None = None
+) -> Iterator[WalkEntry]:
+    """Walk root top-down, each directory before those below it, yielding WalkEntries.
+
+    Names are sorted and subdirectories walked in that order. A directory or a symlink to
+    one is listed as a subdirectory, any other entry as a file; symlinked directories are
+    never descended. In a client's tree (`client` given), a directory that cannot be listed
+    is left out with a `dir_unreadable` event; a walk for no client raises its OSError.
+    """
+    base = str(Path(root))
+    stack = [(".", "" if base == "." else os.path.join(base, ""))]
+    while stack:
+        rel, path = stack.pop()
+        sub = "" if rel == "." else rel + "/"
+        dirs, files, descend = [], [], []
+        try:
+            with os.scandir(path or ".") as entries:
+                for entry in sorted(entries, key=lambda e: e.name):
+                    try:
+                        is_dir = entry.is_dir()
+                    except OSError:
+                        is_dir = False
+                    (dirs if is_dir else files).append(entry.name)
+                    if is_dir and not entry.is_symlink():
+                        descend.append((sub + entry.name, path + entry.name + "/"))
+        except OSError as exc:
+            if client is None:
+                raise
+            if diag:
+                diag.emit("dir_unreadable", client=client, path=rel, error=str(exc))
+            continue
+        yield rel, dirs, files, path
+        stack += reversed(descend)
 
 
 # Defaults of the client-preparation and scan settings. They live here because
@@ -147,23 +188,18 @@ def harvest_header_identifiers(header_root: str | Path) -> set[str]:
     root = Path(header_root)
     identifiers: set[str] = set()
     found_header = False
-
-    def unlistable(exc: OSError) -> None:
+    try:
         # A missing root, or one that is no directory, holds no headers: EmptyHeaderSetError below.
-        if not isinstance(exc, (FileNotFoundError, NotADirectoryError)):
-            raise InputFileError(f"cannot list header directory {exc.filename}: {exc}") from exc
-
-    for dirpath, _dirnames, filenames in os.walk(root, onerror=unlistable):
-        for fname in sorted(filenames):
-            if Path(fname).suffix.lower() not in HEADER_EXTENSIONS:
-                continue
-            found_header = True
-            path = os.path.join(dirpath, fname)
-            try:
-                text = read_text(path)
-            except OSError as exc:
-                raise InputFileError(f"cannot read header {path}: {exc}") from exc
-            identifiers.update(C_IDENTIFIER.findall(text))
+        for _, _, files, prefix in walk_tree(root) if root.is_dir() else ():
+            for path in [prefix + f for f in files if Path(f).suffix.lower() in HEADER_EXTENSIONS]:
+                found_header = True
+                try:
+                    text = read_text(path)
+                except OSError as exc:
+                    raise InputFileError(f"cannot read header {path}: {exc}") from exc
+                identifiers.update(C_IDENTIFIER.findall(text))
+    except OSError as exc:  # from the walk: each read's OSError is an InputFileError by now
+        raise InputFileError(f"cannot list header directory {os.path.normpath(exc.filename)}: {exc}") from exc
     if not found_header:
         raise EmptyHeaderSetError(f"no header files under {root}")
     return identifiers

@@ -14,20 +14,16 @@ from collections import Counter
 from itertools import chain
 from pathlib import Path, PurePosixPath
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from . import artifacts
-from .catalog import DEFAULT_MIN_LIB_FILES, DEFAULT_OVERLAP_THRESHOLD, LibrarySpec, is_source_name, read_text
+from .catalog import (DEFAULT_MIN_LIB_FILES, DEFAULT_OVERLAP_THRESHOLD, LibrarySpec, WalkEntry, is_source_name,
+                      read_text, walk_tree)
 from .diagnostics import Diagnostics
 from .errors import InputFileError, MissingRootError
 
 _SECTION = re.compile(r"\[\s*submodule\b[^\]]*\]")
 _ANY_SECTION = re.compile(r"\[[^\]]*\]")
-
-
-# One walked directory: its path relative to the root, its sorted subdirectory and other
-# (file, broken link) names, and the prefix that makes their paths ("" for a root of ".").
-WalkEntry = tuple[str, list[str], list[str], str]
 
 
 class ClientRecord(NamedTuple):
@@ -89,42 +85,6 @@ def parse_submodule_manifest(content: str, diag: Diagnostics | None = None) -> l
     return paths
 
 
-def walk_tree(
-    root: str | Path, diag: Diagnostics | None = None, client: str | None = None
-) -> Iterator[WalkEntry]:
-    """Walk root top-down as os.walk does, with names sorted, yielding WalkEntries.
-
-    Symlinked directories are listed but never descended. In a client's tree
-    (`client` given), a directory that cannot be listed is left out, with a
-    `dir_unreadable` event. A walk for no client is of a library tree, where
-    that raises InputFileError naming the directory.
-    """
-    base = str(Path(root))
-    stack = [(".", "" if base == "." else os.path.join(base, ""))]
-    while stack:
-        rel, path = stack.pop()
-        sub = "" if rel == "." else rel + "/"
-        dirs, files, descend = [], [], []
-        try:
-            with os.scandir(path or ".") as entries:
-                for entry in sorted(entries, key=lambda e: e.name):
-                    try:
-                        is_dir = entry.is_dir()
-                    except OSError:
-                        is_dir = False
-                    (dirs if is_dir else files).append(entry.name)
-                    if is_dir and not entry.is_symlink():
-                        descend.append((sub + entry.name, path + entry.name + "/"))
-        except OSError as exc:
-            if client is None:
-                raise InputFileError(f"cannot list library directory {os.path.normpath(path or '.')}: {exc}") from exc
-            if diag:
-                diag.emit("dir_unreadable", client=client, path=rel, error=str(exc))
-            continue
-        yield rel, dirs, files, path
-        stack += reversed(descend)
-
-
 def _dir_names(listing: list[WalkEntry]) -> dict[str, set[str]]:
     """Per listed directory: the names of all files below it, recursively."""
     names: dict[str, set[str]] = {}
@@ -149,7 +109,11 @@ def build_library_inventory(source_roots: list[str] | tuple[str, ...]) -> Librar
         root = Path(root_str)
         if not root.is_dir():
             raise MissingRootError(f"library source root is missing or not a directory: {root}")
-        for rel, names in _dir_names(list(walk_tree(root))).items():
+        try:
+            listing = list(walk_tree(root))
+        except OSError as exc:
+            raise InputFileError(f"cannot list library directory {os.path.normpath(exc.filename)}: {exc}") from exc
+        for rel, names in _dir_names(listing).items():
             if any(map(is_source_name, names)):
                 dirs[str(root) if rel == "." else f"{root}/{rel}"] = frozenset(names)
     return LibraryInventory(dirs=dirs)

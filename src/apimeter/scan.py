@@ -16,8 +16,8 @@ import re
 from collections import Counter
 from typing import Iterable, Iterator, NamedTuple
 
-from .catalog import DEFAULT_FILE_CAP_BYTES, ApiCatalog, is_source_name, read_text
-from .clientprep import ClientRecord, walk_tree
+from .catalog import DEFAULT_FILE_CAP_BYTES, ApiCatalog, is_source_name, read_text, walk_tree
+from .clientprep import ClientRecord
 from .diagnostics import Diagnostics
 
 # Line-oriented comment exclusion for evaluation parity with purely

@@ -61,6 +61,38 @@ def test_harvest_of_unreadable_header_names_it(tmp_path):
         harvest_header_identifiers(tmp_path)
 
 
+@pytest.mark.parametrize("listing", ["as_listed", "reversed"])
+def test_harvest_names_the_same_header_whatever_the_listing_order(tmp_path, monkeypatch, listing):
+    for rel in ("a/a.h", "b/b.h"):
+        (tmp_path / rel).parent.mkdir()
+        (tmp_path / rel).symlink_to(tmp_path / "gone.h")
+    if listing == "reversed":
+        real_scandir = os.scandir
+
+        class ReversedScandir:
+            """os.scandir, listing in reverse name order."""
+
+            def __init__(self, path="."):
+                with real_scandir(path) as entries:
+                    self.entries = iter(sorted(entries, key=lambda e: e.name, reverse=True))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                return next(self.entries)
+
+        monkeypatch.setattr(os, "scandir", ReversedScandir)
+    with pytest.raises(InputFileError, match=f"cannot read header {tmp_path / 'a' / 'a.h'}: "):
+        harvest_header_identifiers(tmp_path)
+
+
 @pytest.mark.parametrize("reported", [-5, 5])
 def test_read_text_reads_to_the_end_whatever_fstat_reported(tmp_path, monkeypatch, reported):
     # A file that grew or shrank between the fstat and the read is still read whole.
