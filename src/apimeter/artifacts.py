@@ -15,6 +15,7 @@ import contextlib
 import functools
 import json
 import os
+import stat
 from pathlib import Path
 from typing import Any, Callable, TypeVar
 
@@ -82,6 +83,18 @@ def _indented(value: Any, indent: str) -> str:
     return f"{text[0]}\n{inner}{text[1:-1]}\n{indent}{text[-1]}"
 
 
+def read_input(path: str | Path, encoding: str = "utf-8") -> str:
+    """The text of an input file named on the command line or in the config.
+
+    A character or block device raises an OSError naming it: it may never
+    end (`/dev/zero`). A FIFO is read to its end, so `<(lcov ...)` works.
+    """
+    mode = os.stat(path).st_mode
+    if stat.S_ISCHR(mode) or stat.S_ISBLK(mode):
+        raise OSError(f"Is a device (mode {stat.filemode(mode)}): {os.fspath(path)!r}")
+    return Path(path).read_text(encoding=encoding)
+
+
 def load_json(
     path: str | Path,
     kind: str,
@@ -95,7 +108,7 @@ def load_json(
     whose shape `parse` trips over, raises `error` naming the file; an
     unsupported schema version raises `SchemaVersionError` naming it."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(read_input(path))
         if not isinstance(doc, root):
             raise TypeError(f"expected a JSON {'object' if root is dict else 'list'}, got {type(doc).__name__}")
         return parse(doc)

@@ -403,7 +403,7 @@ def cmd_coverage(
     def parse_path(p: str) -> coverage.Tracefile:
         try:
             # A leading byte-order mark is dropped; one anywhere else stays a parse error.
-            text = Path(p).read_text(encoding="utf-8-sig")
+            text = artifacts.read_input(p, "utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise InputFileError(f"cannot read tracefile {p}: {exc}") from exc
         try:

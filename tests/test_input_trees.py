@@ -1,7 +1,8 @@
 """Input trees that must neither hang a stage, exhaust its memory, nor
 silently shrink the library side: FIFOs and devices among client sources and
-headers, an unreadable `.gitmodules`, and library-side directories that cannot
-be listed.
+headers, devices and FIFOs named as a tracefile, config or dependency
+database, an unreadable `.gitmodules`, and library-side directories that
+cannot be listed.
 
 A FIFO or device read through an unguarded path blocks or reads without end,
 so those cases run the CLI in a child process with a timeout and an
@@ -106,6 +107,45 @@ def test_catalog_refuses_fifo_or_device_header(tree, kind):
     assert "Traceback" not in proc.stderr
     assert f"error: cannot read header {header}: Not a regular file" in proc.stderr
     assert not (tmp / "out" / "catalog_tinykv.json").exists()
+
+
+@pytest.mark.parametrize("named_as", ["tracefile", "config", "dependency_db"])
+def test_device_named_as_an_input_is_refused(tree, named_as):
+    cfg, tmp = tree
+    assert _run("catalog", "--config", str(cfg)).returncode == 0
+    if named_as == "tracefile":
+        proc = _run("coverage", "--config", str(cfg), "--library", "tinykv", "/dev/zero")
+    elif named_as == "config":
+        proc = _run("report", "--config", "/dev/zero", "--library", "tinykv")
+    else:
+        doc = json.loads(cfg.read_text())
+        cfg.write_text(json.dumps({**doc, "dependency_db": "/dev/zero"}))
+        proc = _run("scan", "--config", str(cfg), "--library", "tinykv")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "/dev/zero: " in proc.stderr and "Is a device (mode c" in proc.stderr
+
+
+def test_coverage_reads_a_fifo_tracefile_as_the_regular_file(tree):
+    cfg, tmp = tree
+    trace = GOLDEN / "tracefile_library.info"
+    assert _run("catalog", "--config", str(cfg)).returncode == 0
+    catalog = tmp / "out" / "catalog_tinykv.json"
+    fresh = catalog.read_bytes()
+    regular = _run("coverage", "--config", str(cfg), "--library", "tinykv", str(trace))
+    assert regular.returncode == 0, regular.stderr
+    annotated = catalog.read_bytes()
+    catalog.write_bytes(fresh)
+    fifo = tmp / "trace.info"
+    os.mkfifo(fifo)
+    writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', str(trace), str(fifo)])
+    try:
+        piped = _run("coverage", "--config", str(cfg), "--library", "tinykv", str(fifo))
+    finally:
+        writer.kill()
+        writer.wait()
+    assert (piped.returncode, piped.stdout, piped.stderr) == (0, regular.stdout, regular.stderr)
+    assert catalog.read_bytes() == annotated != fresh
 
 
 def test_unreadable_gitmodules_is_an_event(golden_spec, monkeypatch):
