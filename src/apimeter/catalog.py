@@ -198,7 +198,7 @@ def harvest_header_identifiers(header_root: str | Path) -> set[str]:
                 except OSError as exc:
                     raise InputFileError(f"cannot read header {path}: {exc}") from exc
                 identifiers.update(C_IDENTIFIER.findall(text))
-    except OSError as exc:  # from the walk: each read's OSError is an InputFileError by now
+    except OSError as exc:  # from listing a directory: each read's OSError is an InputFileError by now
         raise InputFileError(f"cannot list header directory {os.path.normpath(exc.filename)}: {exc}") from exc
     if not found_header:
         raise EmptyHeaderSetError(f"no header files under {root}")
