@@ -34,6 +34,24 @@ def check_schema_version(doc: dict) -> None:
         raise SchemaVersionError(f"schema_version {version!r} not supported (expected {ours}.x)")
 
 
+def is_count(value: Any) -> bool:
+    """Whether a JSON value is a non-negative integer; a `true` is no count."""
+    return type(value) is int and value >= 0
+
+
+# What a JSON field must be, as (requirement, check), for `checked`.
+STRING = ("a string", lambda v: type(v) is str)
+COUNT = ("a non-negative integer", is_count)
+
+
+def checked(value: T, field: str, requirement: str, ok: Callable[[T], bool]) -> T:
+    """`value` if `ok` accepts it, else a TypeError naming its `field`, which
+    `load_json` turns into its error naming the file."""
+    if not ok(value):
+        raise TypeError(f"{field} must be {requirement}: {value!r}")
+    return value
+
+
 def write_text(path: str | Path, text: str) -> Path:
     """Atomically replace `path` with `text` (UTF-8), creating its directory."""
     out = Path(path)
@@ -104,9 +122,10 @@ def load_json(
     root: type = dict,
 ) -> T:
     """Read, decode and parse one JSON document of type `root`, then return
-    `parse(doc)`. Unreadable, undecodable or malformed input, or a document
-    whose shape `parse` trips over, raises `error` naming the file; an
-    unsupported schema version raises `SchemaVersionError` naming it."""
+    `parse(doc)`. Unreadable, undecodable, malformed or too deeply nested
+    input, or a document whose shape `parse` trips over, raises `error`
+    naming the file; an unsupported schema version raises
+    `SchemaVersionError` naming it."""
     try:
         doc = json.loads(read_input(path))
         if not isinstance(doc, root):
@@ -114,5 +133,5 @@ def load_json(
         return parse(doc)
     except SchemaVersionError as exc:
         raise SchemaVersionError(f"cannot load {kind} {path}: {exc}") from exc
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise error(f"cannot load {kind} {path}: {type(exc).__name__}: {exc}") from exc

@@ -252,15 +252,38 @@ def catalog_to_dict(catalog: ApiCatalog) -> dict:
     }
 
 
+# The field types of an unmeasured and of a measured ApiSymbol: its annotation fields are all null or all set.
+_UNMEASURED = (str,) + (type(None),) * 5
+_MEASURED = (str, str, int, int, int, int)
+
+
+def _entry_problem(i: int, api: ApiSymbol) -> str:
+    """What is wrong with `api`, entry `i` of a catalog's `apis`: its first field of the wrong
+    type, taking a field set to a wrong value before a null one."""
+    kinds = _MEASURED if api[1:].count(None) < 5 else _UNMEASURED
+    bad = [f for f in zip(ApiSymbol._fields, api, kinds) if type(f[1]) is not f[2] or f[2] is int and f[1] < 0]
+    key, value, kind = min(bad, key=lambda f: f[1] is None)
+    requirement = "a string" if kind is str else "a non-negative integer"
+    if value is None and key != "name":
+        requirement += ", as another annotation field is set"
+    return f"apis[{i}].{key} must be {requirement}: {value!r}"
+
+
 def catalog_from_dict(doc: dict) -> ApiCatalog:
     artifacts.check_schema_version(doc)
-    # Every field but `name` may be missing, and then reads None.
-    apis = {entry["name"]: ApiSymbol._make(map(entry.get, ApiSymbol._fields)) for entry in doc["apis"]}
+    apis = {}
+    for i, entry in enumerate(doc["apis"]):
+        # Every field but `name` may be missing, and then reads None.
+        api = ApiSymbol._make(map(entry.get, ApiSymbol._fields))
+        kinds = tuple(map(type, api))
+        if kinds != _UNMEASURED and (kinds != _MEASURED or min(api[2:]) < 0):
+            raise TypeError(_entry_problem(i, api))
+        apis[api.name] = api
     return ApiCatalog(
-        library=doc["library"],
+        library=artifacts.checked(doc["library"], "library", *artifacts.STRING),
         apis=apis,
-        created_at=doc.get("created_at", ""),
-        provenance=doc.get("provenance", {}),
+        created_at=artifacts.checked(doc.get("created_at", ""), "created_at", *artifacts.STRING),
+        provenance=artifacts.checked(doc.get("provenance", {}), "provenance", "an object", lambda v: type(v) is dict),
     )
 
 

@@ -257,34 +257,49 @@ def corpus_dict(agg: CorpusAggregate, skipped: list[str]) -> dict:
     }
 
 
+def _uses(v: dict) -> bool:
+    return type(v) is dict and all(map(artifacts.is_count, v.values()))
+
+
 def corpus_from_dict(doc: dict) -> CorpusAggregate:
     from .scan import UsageReport, aggregate_reports
 
     artifacts.check_schema_version(doc)
-    reports_list = [
-        UsageReport(
-            client_id=c["client"],
-            library=doc["library"],
-            uses=dict(c["uses"]),
-            catalog_size=c.get("catalog_size", doc["catalog_size"]),
+    library = artifacts.checked(doc["library"], "library", *artifacts.STRING)
+    catalog_size = artifacts.checked(doc["catalog_size"], "catalog_size", *artifacts.COUNT)
+    reports_list = []
+    for i, c in enumerate(artifacts.checked(doc["clients"], "clients", "a list", lambda v: type(v) is list)):
+        where = f"clients[{i}]."
+        reports_list.append(
+            UsageReport(
+                client_id=artifacts.checked(c["client"], where + "client", *artifacts.STRING),
+                library=library,
+                uses=dict(artifacts.checked(c["uses"], where + "uses", "an object of non-negative integers", _uses)),
+                catalog_size=artifacts.checked(c.get("catalog_size", catalog_size), where + "catalog_size",
+                                               *artifacts.COUNT),
+            )
         )
-        for c in doc["clients"]
-    ]
-    return aggregate_reports(doc["library"], doc["catalog_size"], reports_list)
+    return aggregate_reports(library, catalog_size, reports_list)
 
 
 def improvement_from_dict(doc: dict) -> dict:
     """The improvement report in the artifact `doc`: the four fields `coverage_delta` returns."""
     artifacts.check_schema_version(doc)
-    keys = ("extra_total_coverage_pct", "newly_covered_apis", "improved_apis", "new_api_lines_covered")
-    return {key: doc[key] for key in keys}
+    names = ("a list of strings", lambda v: type(v) is list and _strings(v))
+    fields = {
+        "extra_total_coverage_pct": ("a number", lambda v: type(v) in (int, float)),
+        "newly_covered_apis": names,
+        "improved_apis": names,
+        "new_api_lines_covered": artifacts.COUNT,
+    }
+    return {key: artifacts.checked(doc[key], key, *field) for key, field in fields.items()}
 
 
 # --- subcommands ---------------------------------------------------------------
 
 
-def cmd_catalog(config: RunConfig, library: str | None, diag: Diagnostics) -> int:
-    specs = [config.spec_for(library)] if library else config.library_specs
+def cmd_catalog(config: RunConfig, args: argparse.Namespace, diag: Diagnostics) -> int:
+    specs = [config.spec_for(args.library)] if args.library else config.library_specs
     if not specs:
         raise ConfigError("no libraries configured")
     for spec in specs:
@@ -331,9 +346,10 @@ def _scan_one(entry: DependencyEntry, root: Path) -> tuple[dict, UsageReport, li
     return clientprep.prep_report_dict(rec), report, diag.events
 
 
-def cmd_scan(config: RunConfig, library: str, diag: Diagnostics, collect_sites: bool = False) -> int:
+def cmd_scan(config: RunConfig, args: argparse.Namespace, diag: Diagnostics) -> int:
     from . import clientprep, scan
 
+    library = args.library
     if config.dependency_db is None or config.clients_root is None:
         raise ConfigError("scan requires dependency_db and clients_root in the configuration")
     catalog = load_catalog(_stage_input(catalog_path(config, library), "catalog"))
@@ -352,7 +368,7 @@ def cmd_scan(config: RunConfig, library: str, diag: Diagnostics, collect_sites: 
             skipped.append(entry.client)
             diag.emit("client_missing", client=entry.client, expected=str(root))
 
-    context = (spec, inv, catalog, config, collect_sites)
+    context = (spec, inv, catalog, config, args.sites)
     if config.jobs > 1 and len(jobs) > 1:
         # Imported here: it loads multiprocessing, which no other stage needs.
         from concurrent.futures import ProcessPoolExecutor
@@ -386,18 +402,10 @@ def cmd_scan(config: RunConfig, library: str, diag: Diagnostics, collect_sites: 
     return 0
 
 
-def cmd_coverage(
-    config: RunConfig,
-    library: str,
-    tracefile_paths: list[str],
-    median: bool,
-    baseline: str | None,
-    augmented: str | None,
-    diag: Diagnostics,
-    tcov_excludes: list[str] | None = None,
-) -> int:
+def cmd_coverage(config: RunConfig, args: argparse.Namespace, diag: Diagnostics) -> int:
     from . import coverage
 
+    library, baseline, augmented = args.library, args.baseline, args.augmented
     catalog = load_catalog(_stage_input(catalog_path(config, library), "catalog"))
 
     def parse_path(p: str) -> coverage.Tracefile:
@@ -410,11 +418,11 @@ def cmd_coverage(
             tf = coverage.parse_tracefile(text, diag)
         except MalformedDirectiveError as exc:
             raise MalformedDirectiveError(exc.message, exc.line_number, source=p) from exc
-        return coverage.filter_tracefile(tf, tcov_excludes or [])
+        return coverage.filter_tracefile(tf, args.tcov_exclude)
 
-    if tracefile_paths:
-        runs = [parse_path(p) for p in tracefile_paths]
-        chosen = coverage.select_median_run(runs) if median else coverage.merge_tracefiles(runs)
+    if args.tracefiles:
+        runs = [parse_path(p) for p in args.tracefiles]
+        chosen = coverage.select_median_run(runs) if args.median else coverage.merge_tracefiles(runs)
         annotated = coverage.annotate_catalog_coverage(catalog, chosen, diag)
         save_catalog(annotated, catalog_path(config, library))
         measured = len(annotated.annotated())
@@ -433,14 +441,15 @@ def cmd_coverage(
             f"{library}: +{delta['extra_total_coverage_pct']:.1f}pp total coverage, "
             f"{len(delta['newly_covered_apis'])} newly covered, {len(delta['improved_apis'])} improved"
         )
-    elif not tracefile_paths:
+    elif not args.tracefiles:
         raise ConfigError("coverage needs tracefiles, or --baseline/--augmented")
     return 0
 
 
-def cmd_report(config: RunConfig, library: str, diag: Diagnostics) -> int:
+def cmd_report(config: RunConfig, args: argparse.Namespace, diag: Diagnostics) -> int:
     from . import metrics, reports
 
+    library = args.library
     cat_path = _stage_input(catalog_path(config, library), "catalog")
     agg_path = _stage_input(corpus_path(config, library), "scan")
     catalog = load_catalog(cat_path)
@@ -476,21 +485,16 @@ def _eval_results(doc: dict, path: str) -> dict[str, dict[str, int]]:
             raise InputFileError(f"{where} must be an object of API counts: {counts!r}")
         for api, count in counts.items():
             # A JSON `true` is no count, and a negative one would turn up as a negative tp or recall.
-            if type(count) is not int or count < 0:
+            if not artifacts.is_count(count):
                 raise InputFileError(f"{where}, API {api!r}: count must be a non-negative integer: {count!r}")
     return doc["clients"]
 
 
-def cmd_eval(
-    output_dir: str,
-    tool_path: str,
-    oracle_path: str,
-    diag: Diagnostics,
-) -> int:
+def cmd_eval(config: RunConfig, args: argparse.Namespace, diag: Diagnostics) -> int:
     from . import metrics, reports
 
-    tool = artifacts.load_json(tool_path, "evaluation results", lambda doc: _eval_results(doc, tool_path))
-    oracle = artifacts.load_json(oracle_path, "evaluation results", lambda doc: _eval_results(doc, oracle_path))
+    tool = artifacts.load_json(args.tool, "evaluation results", lambda doc: _eval_results(doc, args.tool))
+    oracle = artifacts.load_json(args.oracle, "evaluation results", lambda doc: _eval_results(doc, args.oracle))
     shared = sorted(set(tool) & set(oracle))
     if set(tool) != set(oracle):
         diag.emit(
@@ -500,7 +504,7 @@ def cmd_eval(
         )
         print("warning: tool/oracle client sets differ; evaluating the intersection", file=sys.stderr)
     per_client = {c: metrics.precision_recall(tool[c], oracle[c]) for c in shared}
-    written = reports.emit_reports(Path(output_dir), evaluation=per_client, diag=diag)
+    written = reports.emit_reports(Path(config.output_dir), evaluation=per_client, diag=diag)
     print(f"evaluated {len(shared)} clients -> {written[0]}")
     return 0
 
@@ -534,10 +538,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", parents=[shared], help="build API catalogs from shared objects and headers")
     p.add_argument("--library", help="only this library (default: all configured)")
+    p.set_defaults(run=cmd_catalog)
 
     p = sub.add_parser("scan", parents=[shared], help="scan all clients of a library for API uses")
     p.add_argument("--library", required=True)
     p.add_argument("--sites", action="store_true", help="also record file:line:api use sites")
+    p.set_defaults(run=cmd_scan)
 
     p = sub.add_parser("coverage", parents=[shared], help="annotate the catalog from LCOV tracefiles")
     p.add_argument("--library", required=True)
@@ -552,13 +558,16 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PREFIX",
         help="drop instrumented files under this path prefix from coverage totals (repeatable)",
     )
+    p.set_defaults(run=cmd_coverage)
 
     p = sub.add_parser("report", parents=[shared], help="emit the full report bundle")
     p.add_argument("--library", required=True)
+    p.set_defaults(run=cmd_report)
 
     p = sub.add_parser("eval", parents=[shared], help="precision/recall of tool results against an oracle")
     p.add_argument("--tool", required=True, help="JSON results from the scanner")
     p.add_argument("--oracle", required=True, help="JSON results from the oracle")
+    p.set_defaults(run=cmd_eval)
 
     return parser
 
@@ -585,25 +594,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     diag = stderr_diagnostics()
     try:
-        config = _config_from_args(args)
-        if args.command == "catalog":
-            return cmd_catalog(config, args.library, diag)
-        if args.command == "scan":
-            return cmd_scan(config, args.library, diag, collect_sites=args.sites)
-        if args.command == "coverage":
-            return cmd_coverage(
-                config,
-                args.library,
-                args.tracefiles,
-                args.median,
-                args.baseline,
-                args.augmented,
-                diag,
-                tcov_excludes=args.tcov_exclude,
-            )
-        if args.command == "report":
-            return cmd_report(config, args.library, diag)
-        return cmd_eval(config.output_dir, args.tool, args.oracle, diag)
+        return args.run(_config_from_args(args), args, diag)
     except ApimeterError as exc:
         diag.emit("fatal", error=type(exc).__name__, message=str(exc))
         print(f"error: {exc}", file=sys.stderr)

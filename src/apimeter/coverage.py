@@ -32,17 +32,13 @@ def _hit_lines(counts: dict[int, int]) -> int:
     return len(counts) - countOf(counts.values(), 0)
 
 
-class FunctionRecord(NamedTuple):
-    name: str
-    start: int
-    end: int | None = None
-
-
 class FileCoverage(NamedTuple):
-    """One instrumented file. Parse and merge fill its list and dict in place."""
+    """One instrumented file. Parse and merge fill its two dicts in place:
+    `functions` maps each (name, start) to its end line or None, in the order
+    first seen."""
 
     path: str
-    functions: list[FunctionRecord]
+    functions: dict[tuple[str, int], int | None]
     line_counts: dict[int, int]
 
 
@@ -75,23 +71,11 @@ def _int_field(text: str, what: str, line_number: int, minimum: int = 1) -> int:
     return value
 
 
-# Per path, the position of each (name, start) in its file's `functions`.
-_FunctionIndex = dict[str, dict[tuple[str, int], int]]
-
-
-def _add_function(index: _FunctionIndex, fc: FileCoverage, name: str, start: int, end: int | None) -> None:
-    """Record a function once per (path, name, start); repeats widen its end line."""
-    known = index.get(fc.path)
-    if known is None:
-        known = index[fc.path] = {(f.name, f.start): i for i, f in enumerate(fc.functions)}
-    i = known.get((name, start))
-    if i is None:
-        known[name, start] = len(fc.functions)
-        fc.functions.append(FunctionRecord(name, start, end))
-        return
-    fn = fc.functions[i]
-    if end is not None and (fn.end is None or end > fn.end):
-        fc.functions[i] = fn._replace(end=end)
+def _add_function(functions: dict[tuple[str, int], int | None], key: tuple[str, int], end: int | None) -> None:
+    """Record a function once per (name, start); repeats widen its end line."""
+    known = functions.setdefault(key, end)
+    if end is not None and (known is None or end > known):
+        functions[key] = end
 
 
 # The patterns below are compiled on first use (re keeps them cached), so stage
@@ -134,11 +118,10 @@ def parse_tracefile(content: str, diag: Diagnostics | None = None) -> Tracefile:
     errors are those of a line-by-line parse of the whole text.
     """
     records: dict[str, FileCoverage] = {}
-    functions: _FunctionIndex = {}
     # `in` returns at once for a character too wide for the text's storage, so
     # ASCII text is searched only for the one-byte breaks.
     if any(c in content for c in _ODD_BREAKS):
-        _parse_lines(content, 1, records, functions, diag)
+        _parse_lines(content, 1, records, diag)
         return Tracefile(records=list(records.values()))
 
     record = re.compile(_RECORD)
@@ -148,10 +131,10 @@ def parse_tracefile(content: str, diag: Diagnostics | None = None) -> Tracefile:
         if match is None:
             end = content.find(_END_OF_RECORD, pos)
             end = size if end < 0 else end + len(_END_OF_RECORD)
-            _parse_lines(content[pos:end], line_number, records, functions, diag)
+            _parse_lines(content[pos:end], line_number, records, diag)
         else:
             end = match.end()
-            _add_record(content, match, records, functions)
+            _add_record(content, match, records)
         line_number += content.count("\n", pos, end)
         pos = end
     return Tracefile(records=list(records.values()))
@@ -165,27 +148,20 @@ def _add_counts(counts: dict[int, int], pairs: Iterable[tuple[int, int]]) -> Non
         counts[line] = count if count < MAX_COUNT else MAX_COUNT
 
 
-def _add_record(
-    content: str, match: re.Match[str], records: dict[str, FileCoverage], functions: _FunctionIndex
-) -> None:
+def _add_record(content: str, match: re.Match[str], records: dict[str, FileCoverage]) -> None:
     """Merge one record that _RECORD accepted.
 
-    A file's first functions are taken in one step if the record repeats no
-    (name, start), and its first counts if it repeats no line. Anything else
-    is widened or summed in entry by entry. No field reaches MAX_COUNT, so
+    Functions are added one by one, widening a repeated one's end line. A
+    file's first counts are taken in one step if the record repeats no line;
+    other counts are summed in line by line. No field reaches MAX_COUNT, so
     only a sum can saturate.
     """
     path, run = match.group("path", "da")
     fc = records.get(path)
     if fc is None:
-        fc = records[path] = FileCoverage(path, [], {})
-    found = re.compile(_FN_FIELDS).findall(content, match.start(), match.end())
-    # Fields have no leading zeros, so equal digits are equal numbers.
-    if not fc.functions and len({(name, start) for start, _, name in found}) == len(found):
-        fc.functions.extend([FunctionRecord(name, int(start), int(end) if end else None) for start, end, name in found])
-    else:
-        for start, end, name in found:
-            _add_function(functions, fc, name, int(start), int(end) if end else None)
+        fc = records[path] = FileCoverage(path, {}, {})
+    for start, end, name in re.compile(_FN_FIELDS).findall(content, match.start(), match.end()):
+        _add_function(fc.functions, (name, int(start)), int(end) if end else None)
     if run is None:
         return
     if run.count(",") != run.count("\n"):
@@ -205,7 +181,6 @@ def _parse_lines(
     text: str,
     first_line: int,
     records: dict[str, FileCoverage],
-    functions: _FunctionIndex,
     diag: Diagnostics | None,
 ) -> None:
     """Parse `text` line by line into `records`; its first line is `first_line`."""
@@ -243,7 +218,7 @@ def _parse_lines(
             path = line[3:].strip()
             if not path:
                 raise MalformedDirectiveError("SF with empty path", line_number)
-            current = records.setdefault(path, FileCoverage(path, [], {}))
+            current = records.setdefault(path, FileCoverage(path, {}, {}))
             counts = current.line_counts
             continue
         if line.startswith(_IGNORED):
@@ -259,7 +234,7 @@ def _parse_lines(
             name = parts[-1]
             if not name:
                 raise MalformedDirectiveError("FN with empty function name", line_number)
-            _add_function(functions, current, name, start, end)
+            _add_function(current.functions, (name, start), end)
             continue
         if line.startswith("FNDA:"):
             if current is None:
@@ -286,16 +261,14 @@ def function_extents(tf: Tracefile) -> dict[str, dict[str, tuple[int, int]]]:
     extents: dict[str, dict[str, tuple[int, int]]] = {}
     for fc in tf.records:
         per_file: dict[str, tuple[int, int]] = {}
-        ordered = sorted(fc.functions, key=lambda f: f.start)
+        ordered = sorted(fc.functions.items(), key=lambda item: item[0][1])
         max_da = max(fc.line_counts) if fc.line_counts else 0
-        for i, fn in enumerate(ordered):
-            if fn.end is not None:
-                end = fn.end
-            elif i + 1 < len(ordered):
-                end = ordered[i + 1].start - 1
-            else:
-                end = max(max_da, fn.start)
-            per_file[fn.name] = (fn.start, max(end, fn.start))
+        for i, ((name, start), end) in enumerate(ordered):
+            if end is None and i + 1 < len(ordered):
+                end = ordered[i + 1][0][1] - 1
+            elif end is None:
+                end = max(max_da, start)
+            per_file[name] = (start, max(end, start))
         extents[fc.path] = per_file
     return extents
 
@@ -382,16 +355,15 @@ def merge_tracefiles(tracefiles: list[Tracefile]) -> Tracefile:
     if len(tracefiles) == 1:
         return tracefiles[0]
     merged: dict[str, FileCoverage] = {}
-    functions: _FunctionIndex = {}
     for tf in tracefiles:
         for fc in tf.records:
             target = merged.get(fc.path)
             if target is None:  # a file's first copy has nothing to sum or widen
-                merged[fc.path] = FileCoverage(fc.path, list(fc.functions), dict(fc.line_counts))
+                merged[fc.path] = FileCoverage(fc.path, dict(fc.functions), dict(fc.line_counts))
                 continue
             _add_counts(target.line_counts, fc.line_counts.items())
-            for fn in fc.functions:
-                _add_function(functions, target, fn.name, fn.start, fn.end)
+            for key, end in fc.functions.items():
+                _add_function(target.functions, key, end)
     return Tracefile(records=list(merged.values()))
 
 

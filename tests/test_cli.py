@@ -938,6 +938,59 @@ def test_damaged_stage_artifact_names_it(workspace, tmp_path, capsys, stage, art
     assert "InputFileError" in err
 
 
+@pytest.mark.parametrize(
+    "artifact, kind, edit, problem",
+    [
+        ("catalog_tinykv.json", "catalog", lambda doc: doc["apis"][0].update(eloc="5"),
+         "apis[0].eloc must be a non-negative integer: '5'"),
+        ("catalog_tinykv.json", "catalog", lambda doc: doc["apis"][0].update(covered_lines=None),
+         "apis[0].covered_lines must be a non-negative integer, as another annotation field is set: None"),
+        ("usage_tinykv_corpus.json", "usage corpus", lambda doc: doc.update(catalog_size="6"),
+         "catalog_size must be a non-negative integer: '6'"),
+        ("usage_tinykv_corpus.json", "usage corpus", lambda doc: doc["clients"][0]["uses"].update(tk_open=True),
+         "clients[0].uses must be an object of non-negative integers: {"),
+        ("improvement_tinykv.json", "improvement report", lambda doc: doc.update(newly_covered_apis=3),
+         "newly_covered_apis must be a list of strings: 3"),
+        ("improvement_tinykv.json", "improvement report", lambda doc: doc.update(extra_total_coverage_pct="3.5"),
+         "extra_total_coverage_pct must be a number: '3.5'"),
+    ],
+    ids=["eloc_string", "covered_lines_null", "catalog_size_string", "use_count_true", "newly_count",
+         "extra_pct_string"],
+)
+def test_report_on_wrong_typed_artifact_field_names_file_and_field(workspace, capsys, artifact, kind, edit, problem):
+    cfg, out = workspace
+    _run_to_report(cfg)
+    main(["coverage", "--config", str(cfg), "--library", "tinykv", str(GOLDEN / "tracefile_library.info")])
+    path = out / artifact
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg), "--library", "tinykv"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot load {kind} {path}: TypeError: " in err
+    assert problem in err
+    assert "InputFileError" in err
+    assert not (out / "reports").exists()
+
+
+@pytest.mark.parametrize("stage", ["config", "eval"])
+def test_deeply_nested_json_names_the_file(workspace, tmp_path, capsys, stage):
+    cfg, out = workspace
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    if stage == "config":
+        args, kind, error = ["catalog", "--config", str(deep)], "config", "ConfigError"
+    else:
+        args = ["eval", "--tool", str(deep), "--oracle", str(GOLDEN / "eval_oracle.json"), "--output", str(out)]
+        kind, error = "evaluation results", "InputFileError"
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot load {kind} {deep}: RecursionError: " in err
+    assert error in err
+    assert not out.exists()
+
+
 def test_stage_reruns_are_byte_identical(workspace):
     cfg, out = workspace
     main(["catalog", "--config", str(cfg)])

@@ -21,13 +21,13 @@ def test_parse_basic_block():
     assert len(tf.records) == 1
     fc = tf.records[0]
     assert fc.path == "a.c"
-    assert [(fn.name, fn.start, fn.end) for fn in fc.functions] == [("f", 3, None)]
+    assert list(fc.functions.items()) == [(("f", 3), None)]
     assert fc.line_counts == {3: 1, 4: 0}
 
 
 def test_parse_fn_with_end_line():
     tf = parse_tracefile("SF:a.c\nFN:3,9,f\nend_of_record")
-    assert tf.records[0].functions[0].end == 9
+    assert tf.records[0].functions["f", 3] == 9
 
 
 def test_parse_empty_input():
@@ -142,7 +142,7 @@ def test_merge_explicit_extent_wins():
     a = parse_tracefile("SF:x.c\nFN:3,f\nend_of_record")
     b = parse_tracefile("SF:x.c\nFN:3,9,f\nend_of_record")
     merged = merge_tracefiles([a, b])
-    assert merged.records[0].functions[0].end == 9
+    assert merged.records[0].functions["f", 3] == 9
 
 
 def test_merge_with_empty_is_identity():
@@ -282,7 +282,7 @@ def test_merge_associative(a, b, c):
 
 @given(tracefiles())
 def test_delta_self_is_always_zero(tf):
-    catalog = make_catalog([fn.name for fc in tf.records for fn in fc.functions] or ["f"])
+    catalog = make_catalog([name for fc in tf.records for name, _ in fc.functions] or ["f"])
     report = coverage_delta(tf, tf, catalog)
     assert report["extra_total_coverage_pct"] == 0.0
     assert not report["newly_covered_apis"]
@@ -294,7 +294,7 @@ def test_delta_self_is_always_zero(tf):
 def test_delta_against_merged_superset_is_monotone(base, extra):
     augmented = merge_tracefiles([base, extra])
     catalog = make_catalog(
-        [fn.name for fc in augmented.records for fn in fc.functions] or ["f"]
+        [name for fc in augmented.records for name, _ in fc.functions] or ["f"]
     )
     report = coverage_delta(base, augmented, catalog)
     assert report["extra_total_coverage_pct"] >= 0.0
@@ -311,7 +311,7 @@ def test_delta_against_merged_superset_is_monotone(base, extra):
 def test_annotated_eloc_bounded_by_total_da_lines(tf):
     # Heuristic extents are disjoint per file, so per-API ELOC sums cannot
     # exceed the tracefile's instrumented line count.
-    catalog = make_catalog([fn.name for fc in tf.records for fn in fc.functions] or ["f"])
+    catalog = make_catalog([name for fc in tf.records for name, _ in fc.functions] or ["f"])
     annotated = annotate_catalog_coverage(catalog, tf)
     elocs = [a.eloc for a in annotated.apis.values() if a.eloc is not None]
     assert sum(elocs) <= tf.total_lines()

@@ -20,11 +20,16 @@ from conftest import make_catalog
 MAX = new.MAX_COUNT
 
 
+def _functions(fc):
+    """A file's (name, start, end) triples in order: the reference keeps a list
+    of records, the module a dict from (name, start) to the end line."""
+    if isinstance(fc.functions, dict):
+        return [(name, start, end) for (name, start), end in fc.functions.items()]
+    return [(f.name, f.start, f.end) for f in fc.functions]
+
+
 def _shape(tf):
-    return [
-        (fc.path, [(f.name, f.start, f.end) for f in fc.functions], list(fc.line_counts.items()))
-        for fc in tf.records
-    ]
+    return [(fc.path, _functions(fc), list(fc.line_counts.items())) for fc in tf.records]
 
 
 def _outcome(fn, *args):
@@ -88,7 +93,8 @@ def _assert_same(texts):
     assert new.function_extents(merged_got) == ref.function_extents(merged_want)
 
     median_want, median_got = ref.select_median_run(wants), new.select_median_run(gots)
-    assert gots.index(median_got) == wants.index(median_want)
+    # By identity: runs whose functions differ only in order compare equal.
+    assert [g is median_got for g in gots] == [w is median_want for w in wants]
 
     _annotate_both(merged_want, merged_got, names)
     _annotate_both(median_want, median_got, names)
