@@ -6,7 +6,8 @@ sibling temporary file, so a reader never sees half an artifact and a
 failed write leaves the previous one in place. There is no fsync: the
 rename guards against a failed or killed writer, not against power loss.
 A load maps every read, decode or shape failure to a typed error that
-names the file.
+names the file. Every JSON input, artifact or not, is read against a table
+of its fields by `checked`, whose errors name the field.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import os
 import stat
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, NamedTuple, TypeVar
 
 from .errors import ApimeterError, InputFileError, ReportIoError, SchemaVersionError
 
@@ -39,17 +40,35 @@ def is_count(value: Any) -> bool:
     return type(value) is int and value >= 0
 
 
-# What a JSON field must be, as (requirement, check), for `checked`.
-STRING = ("a string", lambda v: type(v) is str)
-COUNT = ("a non-negative integer", is_count)
+def are_strings(values: list) -> bool:
+    return all(type(s) is str for s in values)
 
 
-def checked(value: T, field: str, requirement: str, ok: Callable[[T], bool]) -> T:
-    """`value` if `ok` accepts it, else a TypeError naming its `field`, which
-    `load_json` turns into its error naming the file."""
-    if not ok(value):
-        raise TypeError(f"{field} must be {requirement}: {value!r}")
-    return value
+class Field(NamedTuple):  # what one key of a JSON object must hold; a table maps each key to one
+    kind: type | tuple[type, ...]  # the JSON type of a given value; a JSON `true` is no number
+    default: Any  # taken when the key is missing; `...` makes that an error, None lets it be null
+    requirement: str  # completes "<field> must be ..."
+    ok: Callable[[Any], bool] = lambda v: True  # its bounds, or the type of its items
+
+
+def checked(doc: Any, table: dict[str, Field], where="", scope="", error: type = TypeError, strict=False) -> dict:
+    """Each field of `table` in the JSON object `doc`, checked, or else its default. An error's
+    message starts with `where` and names `doc` as `scope` ("" at the top level). With `strict`,
+    a key that `table` lacks is an error too."""
+    if type(doc) is not dict:
+        raise error(f"{where}{scope} must be an object: {doc!r}")
+    prefix = f"{where}{scope}." if scope else where
+    if strict and (unknown := sorted(doc.keys() - table.keys())):
+        raise error(f"{prefix}{unknown[0]} is not a known key; known: {', '.join(table)}")
+    if missing := [key for key, field in table.items() if field.default is ... and key not in doc]:
+        # A nested object is shown, to find it by; the top-level one is the whole document.
+        raise error(f'{where}{scope} needs "{missing[0]}": {doc!r}' if scope else f"{where}{missing[0]} is missing")
+    for key, (kind, default, requirement, ok) in table.items():
+        value = doc.get(key, default)
+        if key in doc and not (isinstance(value, kind) and isinstance(value, bool) == (kind is bool) and ok(value)
+                               or value is None is default):
+            raise error(f"{prefix}{key} must be {requirement}: {value!r}")
+    return {key: doc.get(key, field.default) for key, field in table.items()}
 
 
 def write_text(path: str | Path, text: str) -> Path:

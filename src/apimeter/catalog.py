@@ -21,6 +21,7 @@ from types import MappingProxyType
 from typing import Any, NamedTuple
 
 from . import artifacts
+from .artifacts import Field, checked, is_count
 from .diagnostics import Diagnostics
 from .elf import exported_text_symbols
 from .errors import EmptyCatalogError, EmptyHeaderSetError, InputFileError
@@ -252,39 +253,55 @@ def catalog_to_dict(catalog: ApiCatalog) -> dict:
     }
 
 
-# The field types of an unmeasured and of a measured ApiSymbol: its annotation fields are all null or all set.
+_CATALOG = {
+    "library": Field(str, ..., "a string"),
+    "apis": Field(list, ..., "a list"),
+    "created_at": Field(str, "", "a string"),
+    "provenance": Field(dict, MappingProxyType({}), "an object"),
+}
+# An entry of `apis` as given, each field of which may be null or missing, and what it needs:
+# a name, and every annotation field once one is set.
+_API = {
+    "name": Field(str, None, "a string"),
+    "defining_file": Field(str, None, "a string"),
+    **dict.fromkeys(ApiSymbol._fields[2:], Field(int, None, "a non-negative integer", is_count)),
+}
+_NEEDED = {key: f._replace(default=..., requirement=f.requirement + ", as another annotation field is set" * (key != "name"))
+           for key, f in _API.items()}
+# The field types of an unmeasured and of a measured ApiSymbol, for the fast check of a valid entry.
 _UNMEASURED = (str,) + (type(None),) * 5
 _MEASURED = (str, str, int, int, int, int)
 
 
-def _entry_problem(i: int, api: ApiSymbol) -> str:
-    """What is wrong with `api`, entry `i` of a catalog's `apis`: its first field of the wrong
-    type, taking a field set to a wrong value before a null one."""
-    kinds = _MEASURED if api[1:].count(None) < 5 else _UNMEASURED
-    bad = [f for f in zip(ApiSymbol._fields, api, kinds) if type(f[1]) is not f[2] or f[2] is int and f[1] < 0]
-    key, value, kind = min(bad, key=lambda f: f[1] is None)
-    requirement = "a string" if kind is str else "a non-negative integer"
-    if value is None and key != "name":
-        requirement += ", as another annotation field is set"
-    return f"apis[{i}].{key} must be {requirement}: {value!r}"
+def _checked_api(i: int, entry: Any) -> ApiSymbol:
+    """Entry `i` of a catalog's `apis`, or an error naming its first bad field, taking a field set to a
+    wrong value before a null one, and then a broken relation."""
+    where = f"apis[{i}]"
+    api = ApiSymbol(**checked(entry, _API, scope=where))
+    measured = api[1:].count(None) < 5
+    checked(api._asdict(), _NEEDED if measured else {"name": _NEEDED["name"]}, scope=where)
+    if measured and api.entry_end < api.entry_start:
+        raise TypeError(f"{where}.entry_end must be at least entry_start ({api.entry_start}): {api.entry_end}")
+    if measured and api.covered_lines > api.eloc:
+        raise TypeError(f"{where}.covered_lines must be at most eloc ({api.eloc}): {api.covered_lines}")
+    return api
 
 
 def catalog_from_dict(doc: dict) -> ApiCatalog:
     artifacts.check_schema_version(doc)
+    top = checked(doc, _CATALOG)
     apis = {}
-    for i, entry in enumerate(doc["apis"]):
+    for i, entry in enumerate(top["apis"]):
         # Every field but `name` may be missing, and then reads None.
-        api = ApiSymbol._make(map(entry.get, ApiSymbol._fields))
+        api = ApiSymbol._make(map(entry.get, ApiSymbol._fields)) if type(entry) is dict else _checked_api(i, entry)
         kinds = tuple(map(type, api))
-        if kinds != _UNMEASURED and (kinds != _MEASURED or min(api[2:]) < 0):
-            raise TypeError(_entry_problem(i, api))
+        if kinds != _UNMEASURED and (kinds != _MEASURED or not (
+                0 <= api.entry_start <= api.entry_end and 0 <= api.covered_lines <= api.eloc)):
+            api = _checked_api(i, entry)
+        if api.name in apis:
+            raise TypeError(f"apis[{i}].name must be unique: {api.name!r}")
         apis[api.name] = api
-    return ApiCatalog(
-        library=artifacts.checked(doc["library"], "library", *artifacts.STRING),
-        apis=apis,
-        created_at=artifacts.checked(doc.get("created_at", ""), "created_at", *artifacts.STRING),
-        provenance=artifacts.checked(doc.get("provenance", {}), "provenance", "an object", lambda v: type(v) is dict),
-    )
+    return ApiCatalog(top["library"], apis, top["created_at"], top["provenance"])
 
 
 def save_catalog(catalog: ApiCatalog, path: str | Path) -> Path:

@@ -15,9 +15,10 @@ import argparse
 import re
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import artifacts
+from .artifacts import Field, are_strings, checked, is_count
 from .catalog import (
     DEFAULT_FILE_CAP_BYTES,
     DEFAULT_MIN_LIB_FILES,
@@ -46,17 +47,6 @@ class DependencyEntry(NamedTuple):
     library: str
 
 
-class Field(NamedTuple):
-    kind: type | tuple[type, ...]  # the JSON type of a given value; a JSON `true` is no number
-    default: Any  # taken when the field is missing; `...` makes that an error, None lets it be null
-    requirement: str  # completes "<field> must be ..."
-    ok: Callable[[Any], bool] = lambda v: True  # its bounds, or the type of its items
-
-
-def _strings(v: list) -> bool:
-    return all(type(s) is str for s in v)
-
-
 # (object, key) -> Field for every key of a config file (top level "", `thresholds`, `flags`, each of `libraries`),
 # of a dependency-DB entry, and of `--jobs`, which no file sets. The command-line overrides reuse these rows.
 FIELDS: dict[tuple[str, str], Field] = {
@@ -73,10 +63,10 @@ FIELDS: dict[tuple[str, str], Field] = {
     ("flags", "paper_faithful"): Field(bool, False, "true or false"),
     ("flags", "loose_call_match"): Field(bool, False, "true or false"),
     ("library", "name"): Field(str, ..., "a string"),
-    ("library", "shared_objects"): Field(list, ..., "a non-empty list of strings", lambda v: v != [] and _strings(v)),
+    ("library", "shared_objects"): Field(list, ..., "a non-empty list of strings", lambda v: v != [] and are_strings(v)),
     ("library", "header_root"): Field(str, ..., "a string"),
-    ("library", "source_roots"): Field(list, (), "a list of strings", _strings),
-    ("library", "explicit_file_excludes"): Field(list, (), "a list of strings", _strings),
+    ("library", "source_roots"): Field(list, (), "a list of strings", are_strings),
+    ("library", "explicit_file_excludes"): Field(list, (), "a list of strings", are_strings),
     ("dependency", "client"): Field(str, ..., "a string"),
     ("dependency", "library"): Field(str, ..., "a string"),
     ("dependency", "source"): Field(str, None, "a string"),  # where the client comes from; not read
@@ -84,26 +74,9 @@ FIELDS: dict[tuple[str, str], Field] = {
 }
 
 
-def _check(field: Field, value: Any, label: str, error: type[ApimeterError] = ConfigError) -> Any:
-    ok = isinstance(value, field.kind) and isinstance(value, bool) == (field.kind is bool) and field.ok(value)
-    if ok or value is None is field.default:
-        return value
-    raise error(f"{label} must be {field.requirement}: {value!r}")
-
-
-def _fields(doc: Any, obj: str, where: str, scope: str, error=ConfigError, strict=True) -> dict[str, Any]:
-    """Each field of `obj` in the JSON object `doc`, checked, or else its default. `where` names
-    the file and `scope` the object in it; a key FIELDS does not list is an error if `strict`."""
-    if type(doc) is not dict:
-        raise error(f"{where}: {scope} must be an object: {doc!r}")
-    fields = {key: field for (o, key), field in FIELDS.items() if o == obj}
-    prefix = f"{where}: {scope}." if scope else f"{where}: "
-    if strict and (unknown := sorted(doc.keys() - fields.keys())):
-        raise error(f"{prefix}{unknown[0]} is not a known key; known: {', '.join(fields)}")
-    if missing := [key for key, field in fields.items() if field.default is ... and key not in doc]:
-        raise error(f'{where}: {scope} needs "{missing[0]}": {doc!r}')
-    return {key: _check(field, doc[key], prefix + key, error) if key in doc else field.default
-            for key, field in fields.items()}
+def _fields(obj: str) -> dict[str, Field]:
+    """The table of the object `obj` in FIELDS."""
+    return {key: field for (o, key), field in FIELDS.items() if o == obj}
 
 
 class RunConfig(NamedTuple):
@@ -137,22 +110,22 @@ class RunConfig(NamedTuple):
 
 def _run_config(doc: dict, cfg_path: Path) -> RunConfig:
     """The run config in `doc`, read from `cfg_path`; relative paths resolve against its directory."""
-    where = f"config {cfg_path}"
+    where = f"config {cfg_path}: "
 
     def resolve(p: str | None) -> str | None:
         return None if p is None else str(cfg_path.parent / p)  # an absolute `p` replaces the base
 
-    top = _fields(doc, "", where, "")
+    top = checked(doc, _fields(""), where, error=ConfigError, strict=True)
     if top["schema_version"] is not None:  # a config may leave it out
         artifacts.check_schema_version(top)
     specs = []
     names: dict[str, str] = {}  # slug -> library
     for i, lib in enumerate(top["libraries"]):
-        lib = _fields(lib, "library", where, f"libraries[{i}]")
+        lib = checked(lib, _fields("library"), where, f"libraries[{i}]", ConfigError, strict=True)
         # Per-library artifacts are named by slug, so two libraries sharing one would overwrite each other.
         slug = _slug(lib["name"])
         if slug in names:
-            raise ConfigError(f"{where}: libraries {names[slug]!r} and {lib['name']!r} share the artifact name {slug!r}")
+            raise ConfigError(f"{where}libraries {names[slug]!r} and {lib['name']!r} share the artifact name {slug!r}")
         names[slug] = lib["name"]
         specs.append(
             LibrarySpec(
@@ -163,13 +136,13 @@ def _run_config(doc: dict, cfg_path: Path) -> RunConfig:
                 explicit_file_excludes=tuple(lib["explicit_file_excludes"]),
             )
         )
-    thresholds = _fields(top["thresholds"], "thresholds", where, "thresholds")
+    thresholds = checked(top["thresholds"], _fields("thresholds"), where, "thresholds", ConfigError, strict=True)
     return RunConfig(
         library_specs=specs,
         **{key: resolve(top[key]) for key in ("dependency_db", "clients_root", "output_dir")},
         overlap_threshold=thresholds.pop("overlap"),
         **thresholds,  # min_lib_files, file_cap_bytes
-        **_fields(top["flags"], "flags", where, "flags"),
+        **checked(top["flags"], _fields("flags"), where, "flags", ConfigError, strict=True),
         jobs=FIELDS["command line", "jobs"].default,
     )
 
@@ -185,7 +158,7 @@ def load_dependency_db(path: str | Path) -> list[DependencyEntry]:
         seen: dict[tuple[str, str], str] = {}  # (library, client slug) -> client
         for i, item in enumerate(doc):
             # Records often come from other tools, so keys the table does not list are ignored.
-            fields = _fields(item, "dependency", f"dependency db {path}", f"entry {i}", DependencyDbError, strict=False)
+            fields = checked(item, _fields("dependency"), f"dependency db {path}: ", f"entry {i}", DependencyDbError)
             entry = DependencyEntry(client=fields["client"], library=fields["library"])
             # Per-client artifacts are named by slug, so two clients sharing one would overwrite each other.
             key = (entry.library, _slug(entry.client))
@@ -257,42 +230,44 @@ def corpus_dict(agg: CorpusAggregate, skipped: list[str]) -> dict:
     }
 
 
-def _uses(v: dict) -> bool:
-    return type(v) is dict and all(map(artifacts.is_count, v.values()))
+_COUNT = Field(int, ..., "a non-negative integer", is_count)
+_CORPUS = {"library": Field(str, ..., "a string"), "catalog_size": _COUNT, "clients": Field(list, ..., "a list")}
+# Each of a corpus's `clients`; its `catalog_size` defaults to the corpus's.
+_CLIENT = {
+    "client": Field(str, ..., "a string"),
+    "uses": Field(dict, ..., "an object of non-negative integers", lambda v: all(map(is_count, v.values()))),
+}
 
 
 def corpus_from_dict(doc: dict) -> CorpusAggregate:
     from .scan import UsageReport, aggregate_reports
 
     artifacts.check_schema_version(doc)
-    library = artifacts.checked(doc["library"], "library", *artifacts.STRING)
-    catalog_size = artifacts.checked(doc["catalog_size"], "catalog_size", *artifacts.COUNT)
-    reports_list = []
-    for i, c in enumerate(artifacts.checked(doc["clients"], "clients", "a list", lambda v: type(v) is list)):
-        where = f"clients[{i}]."
-        reports_list.append(
-            UsageReport(
-                client_id=artifacts.checked(c["client"], where + "client", *artifacts.STRING),
-                library=library,
-                uses=dict(artifacts.checked(c["uses"], where + "uses", "an object of non-negative integers", _uses)),
-                catalog_size=artifacts.checked(c.get("catalog_size", catalog_size), where + "catalog_size",
-                                               *artifacts.COUNT),
-            )
+    top = checked(doc, _CORPUS)
+    client_fields = {**_CLIENT, "catalog_size": _COUNT._replace(default=top["catalog_size"])}
+    by_client: dict[str, UsageReport] = {}
+    for i, c in enumerate(top["clients"]):
+        c = checked(c, client_fields, scope=f"clients[{i}]")
+        # Counted twice, a client would raise its APIs' client counts past the number of clients.
+        if c["client"] in by_client:
+            raise TypeError(f"clients[{i}].client must be unique: {c['client']!r}")
+        by_client[c["client"]] = UsageReport(
+            client_id=c["client"], library=top["library"], uses=dict(c["uses"]), catalog_size=c["catalog_size"]
         )
-    return aggregate_reports(library, catalog_size, reports_list)
+    return aggregate_reports(top["library"], top["catalog_size"], list(by_client.values()))
+
+
+_IMPROVEMENT = {
+    "extra_total_coverage_pct": Field((int, float), ..., "a number"),
+    **dict.fromkeys(("newly_covered_apis", "improved_apis"), Field(list, ..., "a list of strings", are_strings)),
+    "new_api_lines_covered": _COUNT,
+}
 
 
 def improvement_from_dict(doc: dict) -> dict:
     """The improvement report in the artifact `doc`: the four fields `coverage_delta` returns."""
     artifacts.check_schema_version(doc)
-    names = ("a list of strings", lambda v: type(v) is list and _strings(v))
-    fields = {
-        "extra_total_coverage_pct": ("a number", lambda v: type(v) in (int, float)),
-        "newly_covered_apis": names,
-        "improved_apis": names,
-        "new_api_lines_covered": artifacts.COUNT,
-    }
-    return {key: artifacts.checked(doc[key], key, *field) for key, field in fields.items()}
+    return checked(doc, _IMPROVEMENT)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -476,18 +451,22 @@ def cmd_report(config: RunConfig, args: argparse.Namespace, diag: Diagnostics) -
     return 0
 
 
+_EVAL = {"clients": Field(dict, ..., "an object")}
+_API_COUNTS = Field(dict, ..., "an object of API counts")
+
+
 def _eval_results(doc: dict, path: str) -> dict[str, dict[str, int]]:
     """The per-client API counts in `doc`, read from `path`."""
     artifacts.check_schema_version(doc)
-    for client, counts in doc["clients"].items():
-        where = f"cannot load evaluation results {path}: client {client!r}"
-        if type(counts) is not dict:
-            raise InputFileError(f"{where} must be an object of API counts: {counts!r}")
+    where = f"cannot load evaluation results {path}: "
+    clients = checked(doc, _EVAL, where, error=InputFileError)["clients"]
+    for client, counts in clients.items():
+        who = f"client {client!r}"
+        checked({who: counts}, {who: _API_COUNTS}, where, error=InputFileError)
         for api, count in counts.items():
             # A JSON `true` is no count, and a negative one would turn up as a negative tp or recall.
-            if not artifacts.is_count(count):
-                raise InputFileError(f"{where}, API {api!r}: count must be a non-negative integer: {count!r}")
-    return doc["clients"]
+            checked({"count": count}, {"count": _COUNT}, f"{where}{who}, API {api!r}: ", error=InputFileError)
+    return clients
 
 
 def cmd_eval(config: RunConfig, args: argparse.Namespace, diag: Diagnostics) -> int:
@@ -582,7 +561,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         ("min_lib_files", FIELDS["thresholds", "min_lib_files"]),
     ):
         if getattr(args, dest) is not None:
-            overrides[dest] = _check(field, getattr(args, dest), "--" + dest.replace("_", "-"))
+            flag = "--" + dest.replace("_", "-")
+            overrides[dest] = checked({flag: getattr(args, dest)}, {flag: field}, error=ConfigError)[flag]
     return config._replace(
         **overrides,
         paper_faithful=config.paper_faithful or args.paper_faithful,

@@ -86,3 +86,52 @@ def test_single_schema_version_assignment():
         if re.match(r"\s*SCHEMA_VERSION\s*=", line) or re.search(r'"schema_version":\s*"', line)
     ]
     assert assignments == ["artifacts.py"]
+
+
+_TABLE = {
+    "name": artifacts.Field(str, ..., "a string"),
+    "size": artifacts.Field(int, 0, "a non-negative integer", artifacts.is_count),
+    "ratio": artifacts.Field((int, float), 1.0, "a number"),
+    "note": artifacts.Field(str, None, "a string"),
+}
+
+
+def test_checked_gives_each_field_or_its_default():
+    assert artifacts.checked({"name": "a", "extra": 1}, _TABLE) == {"name": "a", "size": 0, "ratio": 1.0, "note": None}
+    assert artifacts.checked({"name": "a", "size": 3, "ratio": 2}, _TABLE)["size"] == 3
+
+
+def test_checked_strict_rejects_an_unknown_key():
+    with pytest.raises(TypeError, match=r"^f: obj\.extra is not a known key; known: name, size, ratio, note$"):
+        artifacts.checked({"name": "a", "extra": 1}, _TABLE, "f: ", "obj", strict=True)
+    with pytest.raises(TypeError, match=r"^extra is not a known key"):
+        artifacts.checked({"name": "a", "extra": 1}, _TABLE, strict=True)
+
+
+def test_checked_names_a_missing_required_field():
+    # At the top level the document is not shown; a nested object is, to find it by.
+    with pytest.raises(TypeError, match=r"^name is missing$"):
+        artifacts.checked({"size": 1}, _TABLE)
+    with pytest.raises(TypeError, match=r"""^items\[2\] needs "name": \{'size': 1\}$"""):
+        artifacts.checked({"size": 1}, _TABLE, scope="items[2]")
+
+
+def test_checked_allows_null_only_where_the_default_is_none():
+    assert artifacts.checked({"name": "a", "note": None}, _TABLE)["note"] is None
+    with pytest.raises(TypeError, match=r"^size must be a non-negative integer: None$"):
+        artifacts.checked({"name": "a", "size": None}, _TABLE)
+    with pytest.raises(TypeError, match=r"^name must be a string: None$"):
+        artifacts.checked({"name": None}, _TABLE)
+
+
+@pytest.mark.parametrize("key", ["size", "ratio"])
+def test_checked_takes_true_for_no_number_or_count(key):
+    with pytest.raises(TypeError, match=rf"^{key} must be a (non-negative integer|number): True$"):
+        artifacts.checked({"name": "a", key: True}, _TABLE)
+
+
+def test_checked_messages_start_with_the_label_prefix():
+    with pytest.raises(InputFileError, match=r"^cannot load x f\.json: entry 0\.size must be a non-negative integer: -1$"):
+        artifacts.checked({"name": "a", "size": -1}, _TABLE, "cannot load x f.json: ", "entry 0", InputFileError)
+    with pytest.raises(InputFileError, match=r"^cannot load x f\.json: entry 0 must be an object: \[1\]$"):
+        artifacts.checked([1], _TABLE, "cannot load x f.json: ", "entry 0", InputFileError)

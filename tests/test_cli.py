@@ -718,6 +718,26 @@ def test_eval_rejects_bad_counts_naming_file_client_and_api(tmp_path, side, coun
     assert not (out / "report_eval.json").exists()
 
 
+@pytest.mark.parametrize(
+    "doc, problem",
+    [
+        ({"schema_version": "1.0", "clients": []}, "clients must be an object: []"),
+        ({"schema_version": "1.0", "clients": None}, "clients must be an object: None"),
+        ({"schema_version": "1.0"}, "clients is missing"),
+    ],
+    ids=["list", "null", "missing"],
+)
+def test_eval_rejects_clients_that_are_no_object_naming_file_and_field(tmp_path, capsys, doc, problem):
+    tool = tmp_path / "tool.json"
+    tool.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["eval", "--tool", str(tool), "--oracle", str(GOLDEN / "eval_oracle.json"), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot load evaluation results {tool}: {problem}\n" in err
+    assert "InputFileError" in err
+    assert not (out / "report_eval.json").exists()
+
+
 def test_eval_uacme_row_shape(tmp_path):
     # 47 shared + 3 tool-only distinct APIs -> P 0.94, R 1.00
     oracle_counts = {f"s{i}": 1 for i in range(47)}
@@ -953,9 +973,19 @@ def test_damaged_stage_artifact_names_it(workspace, tmp_path, capsys, stage, art
          "newly_covered_apis must be a list of strings: 3"),
         ("improvement_tinykv.json", "improvement report", lambda doc: doc.update(extra_total_coverage_pct="3.5"),
          "extra_total_coverage_pct must be a number: '3.5'"),
+        ("catalog_tinykv.json", "catalog", lambda doc: doc["apis"][0].update(eloc=4, covered_lines=11),
+         "apis[0].covered_lines must be at most eloc (4): 11"),
+        ("catalog_tinykv.json", "catalog", lambda doc: doc["apis"][0].update(entry_start=9, entry_end=2),
+         "apis[0].entry_end must be at least entry_start (9): 2"),
+        ("usage_tinykv_corpus.json", "usage corpus", lambda doc: doc["clients"].append(doc["clients"][0]),
+         "clients[3].client must be unique: 'alpha'"),
+        ("catalog_tinykv.json", "catalog", lambda doc: doc["apis"].append(doc["apis"][0]),
+         "apis[6].name must be unique: 'tk_close'"),
+        ("catalog_tinykv.json", "catalog", lambda doc: doc.pop("library"), "library is missing"),
     ],
     ids=["eloc_string", "covered_lines_null", "catalog_size_string", "use_count_true", "newly_count",
-         "extra_pct_string"],
+         "extra_pct_string", "covered_above_eloc", "end_before_start", "duplicate_client", "duplicate_api",
+         "library_missing"],
 )
 def test_report_on_wrong_typed_artifact_field_names_file_and_field(workspace, capsys, artifact, kind, edit, problem):
     cfg, out = workspace
