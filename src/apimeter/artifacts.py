@@ -51,23 +51,31 @@ class Field(NamedTuple):  # what one key of a JSON object must hold; a table map
     ok: Callable[[Any], bool] = lambda v: True  # its bounds, or the type of its items
 
 
+SHOWN_CHARS = 200  # of a wrong value's repr an error shows; a longer one is cut, with its length
+
+
+def _shown(value: Any) -> str:
+    text = repr(value)
+    return text if len(text) <= SHOWN_CHARS else f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"
+
+
 def checked(doc: Any, table: dict[str, Field], where="", scope="", error: type = TypeError, strict=False) -> dict:
     """Each field of `table` in the JSON object `doc`, checked, or else its default. An error's
     message starts with `where` and names `doc` as `scope` ("" at the top level). With `strict`,
     a key that `table` lacks is an error too."""
     if type(doc) is not dict:
-        raise error(f"{where}{scope} must be an object: {doc!r}")
+        raise error(f"{where}{scope} must be an object: {_shown(doc)}")
     prefix = f"{where}{scope}." if scope else where
     if strict and (unknown := sorted(doc.keys() - table.keys())):
         raise error(f"{prefix}{unknown[0]} is not a known key; known: {', '.join(table)}")
     if missing := [key for key, field in table.items() if field.default is ... and key not in doc]:
         # A nested object is shown, to find it by; the top-level one is the whole document.
-        raise error(f'{where}{scope} needs "{missing[0]}": {doc!r}' if scope else f"{where}{missing[0]} is missing")
+        raise error(f'{where}{scope} needs "{missing[0]}": {_shown(doc)}' if scope else f"{where}{missing[0]} is missing")
     for key, (kind, default, requirement, ok) in table.items():
         value = doc.get(key, default)
         if key in doc and not (isinstance(value, kind) and isinstance(value, bool) == (kind is bool) and ok(value)
                                or value is None is default):
-            raise error(f"{prefix}{key} must be {requirement}: {value!r}")
+            raise error(f"{prefix}{key} must be {requirement}: {_shown(value)}")
     return {key: doc.get(key, field.default) for key, field in table.items()}
 
 

@@ -33,6 +33,7 @@ from .errors import (
     ApimeterError,
     ConfigError,
     DependencyDbError,
+    FileSetMismatchError,
     InputFileError,
     MalformedDirectiveError,
     MissingInputsError,
@@ -407,7 +408,10 @@ def cmd_coverage(config: RunConfig, args: argparse.Namespace, diag: Diagnostics)
     if baseline is not None or augmented is not None:
         if baseline is None or augmented is None:
             raise ConfigError("--baseline and --augmented must be given together")
-        delta = coverage.coverage_delta(parse_path(baseline), parse_path(augmented), catalog, diag)
+        try:
+            delta = coverage.coverage_delta(parse_path(baseline), parse_path(augmented), catalog, diag)
+        except FileSetMismatchError as exc:
+            raise FileSetMismatchError(f"{exc}: baseline {baseline}, augmented {augmented}") from exc
         artifacts.write_json(
             improvement_path(config, library),
             {"schema_version": artifacts.SCHEMA_VERSION, "library": library, **delta},
@@ -435,17 +439,16 @@ def cmd_report(config: RunConfig, args: argparse.Namespace, diag: Diagnostics) -
     if imp_path.is_file():
         improvement = (library, artifacts.load_json(imp_path, "improvement report", improvement_from_dict))
 
-    utilisation = metrics.client_utilisation_distribution(agg) if agg.reports else None
     written = reports.emit_reports(
         reports_dir(config, library),
+        diag=diag,
         unused=[metrics.unused_apis(agg, catalog)],
-        utilisation=utilisation,
+        utilisation=metrics.client_utilisation_distribution(agg),
         uses=metrics.use_distribution(agg),
         cov_buckets=metrics.coverage_buckets(catalog),
         size_rows=metrics.size_buckets(catalog),
         not_tested=metrics.used_not_tested(agg, catalog),
         improvement=improvement,
-        diag=diag,
     )
     print(f"{library}: {len(written)} report files in {reports_dir(config, library)}")
     return 0

@@ -2,8 +2,8 @@
 
 Corpus runs produce thousands of skip/warning events; they go to a log
 stream, never into reports. Library code takes an optional Diagnostics and
-stays silent when none is given (events are still collected on the default
-sink so tests can assert on them).
+stays silent when none is given. A sink with a stream only writes each
+event; one without collects them, for a caller to replay or assert on.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import IO, Any
 
 
 class Diagnostics:
-    """Collects diagnostic events, optionally mirroring them as JSON lines."""
+    """Writes diagnostic events to `stream` as JSON lines, or, without one, collects them in `events`."""
 
     def __init__(self, stream: IO[str] | None = None):
         self.stream = stream
@@ -22,8 +22,9 @@ class Diagnostics:
 
     def emit(self, event: str, **fields: Any) -> None:
         record = {"event": event, **fields}
-        self.events.append(record)
-        if self.stream is not None:
+        if self.stream is None:
+            self.events.append(record)
+        else:
             self.stream.write(json.dumps(record, sort_keys=True) + "\n")
 
     def count(self, event: str) -> int:

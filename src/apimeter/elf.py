@@ -16,7 +16,7 @@ from collections import namedtuple
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import NoDynamicSymbolsError, NotElfError
+from .errors import InputFileError, NoDynamicSymbolsError, NotElfError
 
 ELF_MAGIC = b"\x7fELF"
 
@@ -54,9 +54,13 @@ def exported_text_symbols(path: str | Path) -> set[str]:
     Versioned names (name@VERSION) are normalized to the bare name; headers
     never carry version suffixes. Mangled names are kept verbatim. Raises
     NotElfError for input that is not a sound ELF file and
-    NoDynamicSymbolsError when the object carries no .dynsym section.
+    NoDynamicSymbolsError when the object carries no .dynsym section; a
+    file that cannot be read raises InputFileError naming it.
     """
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise InputFileError(f"cannot read shared object {path}: {exc}") from exc
     if len(data) < 16 or data[:4] != ELF_MAGIC:
         raise NotElfError(f"{path}: bad magic: not an ELF file")
     layout = _LAYOUTS.get(data[4])

@@ -47,10 +47,6 @@ class MissingRootError(ApimeterError):
     """Client root directory does not exist."""
 
 
-class EmptyCorpusError(ApimeterError):
-    """An aggregate over zero clients cannot yield a distribution."""
-
-
 class ReportIoError(ApimeterError):
     """An artifact or report file, or its directory, could not be written; names the path."""
 

@@ -13,7 +13,6 @@ import math
 from typing import TYPE_CHECKING
 
 from .catalog import ApiCatalog
-from .errors import EmptyCorpusError
 
 if TYPE_CHECKING:
     from .scan import CorpusAggregate
@@ -26,6 +25,8 @@ TOTAL = "total"
 BUCKET_UNDER_50 = "under_50"
 BUCKET_50_TO_80 = "from_50_to_80"
 BUCKET_OVER_80 = "over_80"
+# Each coverage bucket's range of coverage percentages, in bucket order.
+COV_BUCKET_BOUNDS = {BUCKET_UNDER_50: "[0,50)", BUCKET_50_TO_80: "[50,80)", BUCKET_OVER_80: "[80,100]"}
 
 BUCKET_SMALL = "eloc_le_20"
 BUCKET_LARGE = "eloc_gt_20"
@@ -49,10 +50,11 @@ def unused_apis(agg: CorpusAggregate, catalog: ApiCatalog) -> dict:
     }
 
 
-def client_utilisation_distribution(agg: CorpusAggregate) -> dict:
-    """Per-client utilisation percentages with a box-plot five-number summary."""
+def client_utilisation_distribution(agg: CorpusAggregate) -> dict | None:
+    """Per-client utilisation percentages with a box-plot five-number summary;
+    None for a corpus of no clients, which has no distribution to report."""
     if not agg.reports:
-        raise EmptyCorpusError(f"{agg.library}: no clients in aggregate")
+        return None
     values = sorted(r.utilisation_pct for r in agg.reports)
     if len(values) == 1:
         q1 = med = q3 = values[0]
@@ -77,8 +79,8 @@ def use_distribution(agg: CorpusAggregate) -> list[dict]:
 
 
 def coverage_buckets(catalog: ApiCatalog) -> dict:
-    """Partition measured APIs by coverage: [0,50), [50,80), [80,100]."""
-    counts = {BUCKET_UNDER_50: 0, BUCKET_50_TO_80: 0, BUCKET_OVER_80: 0}
+    """Partition measured APIs by coverage into the COV_BUCKET_BOUNDS buckets."""
+    counts = dict.fromkeys(COV_BUCKET_BOUNDS, 0)
     unmeasured = 0
     for api in catalog.apis.values():
         pct = api.coverage_pct
@@ -91,7 +93,7 @@ def coverage_buckets(catalog: ApiCatalog) -> dict:
         else:
             counts[BUCKET_OVER_80] += 1
     rows = [{"library": catalog.library, "bucket": b, "api_count": n} for b, n in counts.items()]
-    return {"rows": rows, "unmeasured": unmeasured}
+    return {"bucket_bounds": COV_BUCKET_BOUNDS, "rows": rows, "unmeasured": unmeasured}
 
 
 def size_buckets(catalog: ApiCatalog) -> list[dict]:

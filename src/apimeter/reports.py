@@ -12,9 +12,6 @@ from pathlib import Path
 from . import artifacts
 from .diagnostics import Diagnostics
 
-COV_BUCKET_BOUNDS = {"under_50": "[0,50)", "from_50_to_80": "[50,80)", "over_80": "[80,100]"}
-
-
 def _eval_row(client: str, modes: dict[str, dict]) -> dict:
     row: dict = {"client": client}
     for mode, result in modes.items():
@@ -53,7 +50,7 @@ REPORTS = (
     (
         "report_cov_buckets",
         "cov_buckets",
-        lambda report: {"bucket_bounds": COV_BUCKET_BOUNDS, **report},
+        dict,
         ["library", "bucket", "api_count"],
         lambda report: report["rows"],
     ),
@@ -108,34 +105,15 @@ def _announce(path: Path, diag: Diagnostics | None) -> Path:
     return path
 
 
-def emit_reports(
-    directory: str | Path,
-    *,
-    unused: list[dict] | None = None,
-    utilisation: dict | None = None,
-    uses: list[dict] | None = None,
-    cov_buckets: dict | None = None,
-    size_rows: list[dict] | None = None,
-    not_tested: dict | None = None,
-    improvement: tuple[str, dict] | None = None,
-    evaluation: dict[str, dict[str, dict]] | None = None,
-    diag: Diagnostics | None = None,
-) -> list[Path]:
-    """Write every report whose inputs were computed; returns written paths."""
-    inputs = dict(
-        unused=unused,
-        utilisation=utilisation,
-        uses=uses,
-        cov_buckets=cov_buckets,
-        size_rows=size_rows,
-        not_tested=not_tested,
-        improvement=improvement,
-        evaluation=evaluation,
-    )
+def emit_reports(directory: str | Path, diag: Diagnostics | None = None, **tables) -> list[Path]:
+    """Write the report of each table given by its REPORTS keyword and not None; returns the written
+    paths. A keyword that REPORTS does not list raises TypeError, as for any function."""
+    if unknown := tables.keys() - {key for _, key, *_ in REPORTS}:
+        raise TypeError(f"emit_reports() got an unexpected keyword argument {min(unknown)!r}")
     out = Path(directory)
     written: list[Path] = []
     for name, key, payload, header, rows in REPORTS:
-        value = inputs[key]
+        value = tables.get(key)
         if value is None:
             continue
         doc = {"schema_version": artifacts.SCHEMA_VERSION, **payload(value)}

@@ -135,3 +135,15 @@ def test_checked_messages_start_with_the_label_prefix():
         artifacts.checked({"name": "a", "size": -1}, _TABLE, "cannot load x f.json: ", "entry 0", InputFileError)
     with pytest.raises(InputFileError, match=r"^cannot load x f\.json: entry 0 must be an object: \[1\]$"):
         artifacts.checked([1], _TABLE, "cannot load x f.json: ", "entry 0", InputFileError)
+
+
+def test_checked_cuts_a_long_value_and_gives_its_length():
+    fits = "y" * (artifacts.SHOWN_CHARS - 2)  # its repr adds two quotes
+    with pytest.raises(TypeError, match=rf"^size must be a non-negative integer: '{fits}'$"):
+        artifacts.checked({"name": "a", "size": fits}, _TABLE)
+    long = fits + "z"
+    with pytest.raises(TypeError) as raised:
+        artifacts.checked({"name": "a", "size": long}, _TABLE)
+    assert str(raised.value) == (
+        f"size must be a non-negative integer: {repr(long)[: artifacts.SHOWN_CHARS]}... ({len(long) + 2} characters)"
+    )

@@ -879,6 +879,21 @@ def test_coverage_unreadable_tracefile_names_it(workspace, tmp_path, capsys, kin
     assert "InputFileError" in err
 
 
+def test_coverage_of_tracefiles_sharing_no_file_names_both(workspace, tmp_path, capsys):
+    cfg, _ = workspace
+    main(["catalog", "--config", str(cfg)])
+    baseline = str(GOLDEN / "tracefile_library.info")
+    other = tmp_path / "other.info"
+    other.write_text("SF:/elsewhere/tk_open.c\nDA:3,1\nend_of_record\n")
+    capsys.readouterr()
+    args = ["coverage", "--config", str(cfg), "--library", "tinykv", "--baseline", baseline, "--augmented", str(other)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert (f"error: baseline and augmented tracefiles share no files; coverage is from different builds: "
+            f"baseline {baseline}, augmented {other}\n") in err
+    assert "FileSetMismatchError" in err
+
+
 def test_coverage_on_truncated_catalog_names_it(workspace, capsys):
     cfg, out = workspace
     main(["catalog", "--config", str(cfg)])
@@ -982,10 +997,13 @@ def test_damaged_stage_artifact_names_it(workspace, tmp_path, capsys, stage, art
         ("catalog_tinykv.json", "catalog", lambda doc: doc["apis"].append(doc["apis"][0]),
          "apis[6].name must be unique: 'tk_close'"),
         ("catalog_tinykv.json", "catalog", lambda doc: doc.pop("library"), "library is missing"),
+        # The wrong value is shown cut, so the error stays short however much the field holds.
+        ("catalog_tinykv.json", "catalog", lambda doc: doc.update(apis={f"api_{i}": doc["apis"][0] for i in range(2000)}),
+         "apis must be a list: {'api_0': {"),
     ],
     ids=["eloc_string", "covered_lines_null", "catalog_size_string", "use_count_true", "newly_count",
          "extra_pct_string", "covered_above_eloc", "end_before_start", "duplicate_client", "duplicate_api",
-         "library_missing"],
+         "library_missing", "apis_object_of_2000"],
 )
 def test_report_on_wrong_typed_artifact_field_names_file_and_field(workspace, capsys, artifact, kind, edit, problem):
     cfg, out = workspace
@@ -1001,6 +1019,7 @@ def test_report_on_wrong_typed_artifact_field_names_file_and_field(workspace, ca
     assert f"error: cannot load {kind} {path}: TypeError: " in err
     assert problem in err
     assert "InputFileError" in err
+    assert len(err.encode()) < 2000
     assert not (out / "reports").exists()
 
 

@@ -1,3 +1,4 @@
+import os
 import re
 import shutil
 import struct
@@ -7,7 +8,7 @@ import pytest
 
 import elfsynth
 from apimeter.elf import exported_text_symbols
-from apimeter.errors import NoDynamicSymbolsError, NotElfError
+from apimeter.errors import InputFileError, NoDynamicSymbolsError, NotElfError
 
 
 def test_global_text_symbols_only(tmp_path):
@@ -56,6 +57,19 @@ def test_not_elf(tmp_path):
     bogus.write_bytes(b"MZ this is not an ELF file")
     with pytest.raises(NotElfError):
         exported_text_symbols(bogus)
+
+
+def test_unreadable_object_names_it(tmp_path):
+    with pytest.raises(InputFileError, match=f"^cannot read shared object {re.escape(str(tmp_path))}: "):
+        exported_text_symbols(tmp_path)
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root opens a file whatever its permission bits")
+def test_chmod_0_object_names_it(tmp_path):
+    so = elfsynth.write_shared_object(tmp_path / "lib.so", [elfsynth.function("f")])
+    so.chmod(0)
+    with pytest.raises(InputFileError, match=f"^cannot read shared object {re.escape(str(so))}: .*Permission denied"):
+        exported_text_symbols(so)
 
 
 def test_truncated_elf(tmp_path):

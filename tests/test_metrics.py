@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from apimeter.catalog import ApiCatalog, ApiSymbol
-from apimeter.errors import EmptyCorpusError
 from apimeter.metrics import (
     BUCKET_50_TO_80,
     BUCKET_LARGE,
@@ -103,10 +102,9 @@ def test_utilisation_median_of_three():
     assert summary["summary"]["max"] == 30.0
 
 
-def test_utilisation_empty_corpus_raises():
+def test_utilisation_empty_corpus_is_none():
     catalog = make_catalog(["a"])
-    with pytest.raises(EmptyCorpusError):
-        client_utilisation_distribution(_aggregate(catalog, {}))
+    assert client_utilisation_distribution(_aggregate(catalog, {})) is None
 
 
 def test_use_distribution_only_used_apis():
@@ -135,6 +133,12 @@ def test_coverage_bucket_boundaries():
     by_bucket = {r["bucket"]: r["api_count"] for r in report["rows"]}
     assert by_bucket == {BUCKET_UNDER_50: 1, BUCKET_50_TO_80: 1, BUCKET_OVER_80: 1}
     assert report["unmeasured"] == 0
+
+
+def test_coverage_buckets_name_each_bucket_with_its_bounds_in_row_order():
+    report = coverage_buckets(_annotated_catalog({"a": (4, 1)}))
+    assert report["bucket_bounds"] == {BUCKET_UNDER_50: "[0,50)", BUCKET_50_TO_80: "[50,80)", BUCKET_OVER_80: "[80,100]"}
+    assert [r["bucket"] for r in report["rows"]] == list(report["bucket_bounds"])
 
 
 def test_coverage_buckets_all_full():

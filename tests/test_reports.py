@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from apimeter.catalog import ApiCatalog
 from apimeter.metrics import (
     client_utilisation_distribution,
@@ -107,3 +109,9 @@ def test_percentages_recompute_from_counts(tmp_path):
     row = doc["rows"][0]
     recomputed = 100.0 * row["unused"] / row["total"]
     assert abs(recomputed - row["unused_pct"]) <= 0.5
+
+
+def test_unknown_table_keyword_raises_type_error_naming_it(tmp_path):
+    with pytest.raises(TypeError, match="unexpected keyword argument 'usage'"):
+        emit_reports(tmp_path, usage=[])
+    assert not any(tmp_path.iterdir())
