@@ -234,6 +234,9 @@ EDGE_CASES = [
     "SF:a.c\n" + "DA:1,999999999999999999\n" * 2 + "end_of_record\n",
     "SF:a.c\nFN:1,f\n" + "DA:1,999999999999999999\nDA:2,1\n" * 10 + "end_of_record\n",
     "SF:a.c\nDA:1,999999999999999999\nend_of_record\n" * 10,
+    # line numbers too wide for 64 bits, the last one ending a function's extent
+    f"SF:a.c\nDA:{2**63},1\nend_of_record\n",
+    f"SF:a.c\nFN:1,f\nDA:1,1\nDA:{10**20},0\nend_of_record\n",
 ]
 
 _COMPANION = "SF:a.c\nFN:1,3,f\nFN:5,g\nDA:1,1\nDA:2,0\nDA:5,1\nDA:6,0\nend_of_record"
