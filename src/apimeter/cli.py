@@ -12,7 +12,9 @@ stage shares (artifacts, catalog, diagnostics, errors).
 from __future__ import annotations
 
 import argparse
+import os
 import re
+import stat
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -280,8 +282,15 @@ def cmd_catalog(config: RunConfig, args: argparse.Namespace, diag: Diagnostics) 
         raise ConfigError("no libraries configured")
     for spec in specs:
         for so in spec.shared_objects:
-            if not Path(so).is_file():
-                raise ConfigError(f"{spec.name}: shared object missing: {so}")
+            # stat, not open: opening a FIFO would block.
+            try:
+                mode = os.stat(so).st_mode
+            except (FileNotFoundError, NotADirectoryError):
+                raise ConfigError(f"{spec.name}: shared object missing: {so}") from None
+            except OSError as exc:
+                raise ConfigError(f"{spec.name}: cannot stat shared object {so}: {exc}") from exc
+            if not stat.S_ISREG(mode):
+                raise ConfigError(f"{spec.name}: shared object is not a regular file (mode {stat.filemode(mode)}): {so}")
         catalog = build_catalog(spec, diag)
         out = catalog_path(config, spec.name)
         save_catalog(catalog, out)

@@ -11,35 +11,27 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left, bisect_right
-from collections.abc import Container, Iterable, Sequence
-from operator import countOf
+from collections.abc import Container, Sequence
+from itertools import compress
 from typing import NamedTuple
 
 from .catalog import ApiCatalog, ApiSymbol, with_annotation
 from .diagnostics import Diagnostics
 from .errors import FileSetMismatchError, MalformedDirectiveError
 
-# Counts are only ever compared with zero; saturate rather than grow without bound.
-MAX_COUNT = 2**63 - 1
-
 # Summary/branch directives: recognized, carry nothing we use.
 _IGNORED = ("TN:", "FNF:", "FNH:", "LF:", "LH:", "BRDA:", "BRF:", "BRH:", "FNL:", "FNA:")
 
 
-def _hit_lines(counts: dict[int, int]) -> int:
-    """Lines with a count above zero. Parse and merge never store a negative
-    count, so this is every line but the zeros, counted in C."""
-    return len(counts) - countOf(counts.values(), 0)
-
-
 class FileCoverage(NamedTuple):
-    """One instrumented file. Parse and merge fill its two dicts in place:
-    `functions` maps each (name, start) to its end line or None, in the order
-    first seen."""
+    """One instrumented file. `functions` maps each (name, start) to its end
+    line or None, in the order first seen. `lines` are the instrumented lines
+    and `hit_lines` those with a count above zero, each sorted, no repeats."""
 
     path: str
     functions: dict[tuple[str, int], int | None]
-    line_counts: dict[int, int]
+    lines: list[int]
+    hit_lines: list[int]
 
 
 class Tracefile(NamedTuple):
@@ -49,16 +41,19 @@ class Tracefile(NamedTuple):
         return {fc.path: fc for fc in self.records}
 
     def total_lines(self) -> int:
-        return sum(len(fc.line_counts) for fc in self.records)
+        return sum(len(fc.lines) for fc in self.records)
 
     def covered_lines(self) -> int:
-        return sum(_hit_lines(fc.line_counts) for fc in self.records)
+        return sum(len(fc.hit_lines) for fc in self.records)
 
     def overall_coverage_pct(self) -> float:
         total = self.total_lines()
-        if total == 0:
-            return 0.0
-        return 100.0 * self.covered_lines() / total
+        return 100.0 * self.covered_lines() / total if total else 0.0
+
+
+def _between(lines: list[int], start: int, end: int) -> int:
+    """How many of the sorted `lines` lie in [start, end]."""
+    return bisect_right(lines, end) - bisect_left(lines, start)
 
 
 def _int_field(text: str, what: str, line_number: int, minimum: int = 1) -> int:
@@ -87,7 +82,8 @@ _ODD_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 # One well-formed record, validated in a single match. Lines carry no padding;
 # a numeric field is ASCII digits with no sign, underscore or leading zero, and
-# at most 18 digits, so int() accepts it and no single count reaches MAX_COUNT.
+# at most 18 digits. Any other line goes through the line-by-line parser, which
+# gives the exact error for a field int() refuses.
 _NUM = "[1-9][0-9]{0,17}"
 _IGNORED_LINE = "(?:" + "|".join(d[:-1] for d in _IGNORED) + r"):(?:[^\n]*\S)?"
 _FN_LINE = rf"FN:{_NUM},(?:{_NUM},)?[^,\n]*[^,\s]"
@@ -109,23 +105,23 @@ _END_OF_RECORD = "\nend_of_record\n"
 def parse_tracefile(content: str, diag: Diagnostics | None = None) -> Tracefile:
     """Parse an LCOV tracefile.
 
-    Repeated SF blocks for one path are merged (summed counts), keeping file
-    paths unique within the result. Unknown directives are skipped with a
-    diagnostic; anything unparsable raises MalformedDirectiveError.
+    Repeated SF blocks for one path are merged, keeping file paths unique
+    within the result: a line is hit if any of its DA lines has a count above
+    zero. Unknown directives are skipped with a diagnostic; anything
+    unparsable raises MalformedDirectiveError.
 
     Well-formed records are taken whole; any other span goes through the
     line-by-line parser from its true line number, so results, events and
     errors are those of a line-by-line parse of the whole text.
     """
     records: dict[str, FileCoverage] = {}
+    record = re.compile(_RECORD)
+    pos, line_number, size = 0, 1, len(content)
     # `in` returns at once for a character too wide for the text's storage, so
     # ASCII text is searched only for the one-byte breaks.
     if any(c in content for c in _ODD_BREAKS):
         _parse_lines(content, 1, records, diag)
-        return Tracefile(records=list(records.values()))
-
-    record = re.compile(_RECORD)
-    pos, line_number, size = 0, 1, len(content)
+        pos = size
     while pos < size:
         match = record.match(content, pos)
         if match is None:
@@ -137,29 +133,22 @@ def parse_tracefile(content: str, diag: Diagnostics | None = None) -> Tracefile:
             _add_record(content, match, records)
         line_number += content.count("\n", pos, end)
         pos = end
-    return Tracefile(records=list(records.values()))
-
-
-def _add_counts(counts: dict[int, int], pairs: Iterable[tuple[int, int]]) -> None:
-    """Add (line, count) pairs to `counts`, summing repeats and saturating at MAX_COUNT."""
-    for line, count in pairs:
-        if line in counts:
-            count += counts[line]
-        counts[line] = count if count < MAX_COUNT else MAX_COUNT
+    # Each file's lines were appended as they came: sort them once, dropping repeats.
+    return Tracefile(
+        [fc._replace(lines=sorted(set(fc.lines)), hit_lines=sorted(set(fc.hit_lines))) for fc in records.values()]
+    )
 
 
 def _add_record(content: str, match: re.Match[str], records: dict[str, FileCoverage]) -> None:
     """Merge one record that _RECORD accepted.
 
-    Functions are added one by one, widening a repeated one's end line. A
-    file's first counts are taken in one step if the record repeats no line;
-    other counts are summed in line by line. No field reaches MAX_COUNT, so
-    only a sum can saturate.
+    Functions are added one by one, widening a repeated one's end line. The
+    DA run's lines, and those with a count above zero, are appended.
     """
     path, run = match.group("path", "da")
     fc = records.get(path)
     if fc is None:
-        fc = records[path] = FileCoverage(path, {}, {})
+        fc = records[path] = FileCoverage(path, {}, [], [])
     for start, end, name in re.compile(_FN_FIELDS).findall(content, match.start(), match.end()):
         _add_function(fc.functions, (name, int(start)), int(end) if end else None)
     if run is None:
@@ -168,13 +157,9 @@ def _add_record(content: str, match: re.Match[str], records: dict[str, FileCover
         run = re.sub(_DA_CHECKSUM, r"\1", run)
     # The C JSON decoder turns the whole run into ints: line, count, line, count, ...
     values = json.loads("[" + run[3:-1].replace("\nDA:", ",") + "]")
-    if not fc.line_counts:
-        pairs = iter(values)
-        counts = dict(zip(pairs, pairs))
-        if 2 * len(counts) == len(values):
-            fc.line_counts.update(counts)
-            return
-    _add_counts(fc.line_counts, zip(values[::2], values[1::2]))
+    lines = values[::2]
+    fc.lines.extend(lines)
+    fc.hit_lines.extend(compress(lines, values[1::2]))
 
 
 def _parse_lines(
@@ -185,13 +170,12 @@ def _parse_lines(
 ) -> None:
     """Parse `text` line by line into `records`; its first line is `first_line`."""
     current: FileCoverage | None = None
-    counts: dict[int, int] | None = None
 
     for line_number, raw in enumerate(text.splitlines(), start=first_line):
         line = raw.strip()
         # DA lines are most of any tracefile: test them first, add inline.
         if line.startswith("DA:"):
-            if counts is None:
+            if current is None:
                 raise MalformedDirectiveError("DA outside an SF record", line_number)
             parts = line[3:].split(",")
             try:
@@ -205,21 +189,20 @@ def _parse_lines(
                     raise MalformedDirectiveError(f"DA expects line,count: {line!r}", line_number)
                 _int_field(parts[0], "DA line", line_number)
                 _int_field(parts[1], "DA count", line_number, minimum=0)
-            if lineno in counts:
-                count += counts[lineno]
-            counts[lineno] = count if count < MAX_COUNT else MAX_COUNT
+            current.lines.append(lineno)
+            if count:
+                current.hit_lines.append(lineno)
             continue
         if not line:
             continue
         if line == "end_of_record":
-            current = counts = None
+            current = None
             continue
         if line.startswith("SF:"):
             path = line[3:].strip()
             if not path:
                 raise MalformedDirectiveError("SF with empty path", line_number)
-            current = records.setdefault(path, FileCoverage(path, {}, {}))
-            counts = current.line_counts
+            current = records.setdefault(path, FileCoverage(path, {}, [], []))
             continue
         if line.startswith(_IGNORED):
             continue
@@ -262,7 +245,7 @@ def function_extents(tf: Tracefile) -> dict[str, dict[str, tuple[int, int]]]:
     for fc in tf.records:
         per_file: dict[str, tuple[int, int]] = {}
         ordered = sorted(fc.functions.items(), key=lambda item: item[0][1])
-        max_da = max(fc.line_counts) if fc.line_counts else 0
+        max_da = fc.lines[-1] if fc.lines else 0
         for i, ((name, start), end) in enumerate(ordered):
             if end is None and i + 1 < len(ordered):
                 end = ordered[i + 1][0][1] - 1
@@ -276,31 +259,24 @@ def function_extents(tf: Tracefile) -> dict[str, dict[str, tuple[int, int]]]:
 _Site = tuple[str, int, int, int, int]  # path, start, end, eloc, covered
 
 
-def _choose_sites(
-    tf: Tracefile, names: Container[str]
-) -> tuple[dict[str, list[_Site]], dict[str, list[int]]]:
+def _choose_sites(tf: Tracefile, names: Container[str]) -> dict[str, list[_Site]]:
     """Every site of each API in `names` that `tf` defines, best first.
 
-    Largest ELOC wins; path breaks ties for determinism. Each file's lines
-    are sorted once and every extent is measured by bisecting them; those
-    sorted instrumented lines come back too, keyed by path.
+    Largest ELOC wins; path breaks ties for determinism. Each extent is
+    measured by bisecting the file's sorted lines.
     """
     by_path = tf.by_path()
     sites: dict[str, list[_Site]] = {}
-    sorted_lines: dict[str, list[int]] = {}
     for path, per_file in function_extents(tf).items():
-        counts = by_path[path].line_counts
-        lines = sorted_lines[path] = sorted(counts)
-        covered = [line for line in lines if counts[line] > 0]
+        fc = by_path[path]
         for name, (start, end) in per_file.items():
             if name not in names:
                 continue
-            eloc = bisect_right(lines, end) - bisect_left(lines, start)
-            hit = bisect_right(covered, end) - bisect_left(covered, start)
+            eloc, hit = _between(fc.lines, start, end), _between(fc.hit_lines, start, end)
             sites.setdefault(name, []).append((path, start, end, eloc, hit))
     for measured in sites.values():
         measured.sort(key=lambda m: (-m[3], m[0]))
-    return sites, sorted_lines
+    return sites
 
 
 def annotate_catalog_coverage(
@@ -312,7 +288,7 @@ def annotate_catalog_coverage(
     A name defined in several files resolves to the largest-ELOC definition,
     with a warning diagnostic.
     """
-    sites, _ = _choose_sites(tf, catalog.apis)
+    sites = _choose_sites(tf, catalog.apis)
     # Start from bare symbols: a rerun must not keep a previous run's annotation.
     annotated = ApiCatalog(
         library=catalog.library,
@@ -346,11 +322,11 @@ def filter_tracefile(tf: Tracefile, exclude_prefixes: list[str]) -> Tracefile:
 
 
 def merge_tracefiles(tracefiles: list[Tracefile]) -> Tracefile:
-    """Union files, sum per-line counts, union function records.
+    """Union files, and per file its lines, hit lines and function records.
 
-    parse_tracefile already merges repeated paths and functions and saturates
-    sums, so a file's first copy is taken as it is, and one tracefile comes
-    back itself: the result then aliases the input.
+    parse_tracefile already merges repeated paths and functions, so a file's
+    first copy is taken as it is (line lists are never changed in place, so
+    they are shared), and one tracefile comes back itself.
     """
     if len(tracefiles) == 1:
         return tracefiles[0]
@@ -358,12 +334,15 @@ def merge_tracefiles(tracefiles: list[Tracefile]) -> Tracefile:
     for tf in tracefiles:
         for fc in tf.records:
             target = merged.get(fc.path)
-            if target is None:  # a file's first copy has nothing to sum or widen
-                merged[fc.path] = FileCoverage(fc.path, dict(fc.functions), dict(fc.line_counts))
+            if target is None:  # a file's first copy has nothing to add to
+                merged[fc.path] = fc._replace(functions=dict(fc.functions))
                 continue
-            _add_counts(target.line_counts, fc.line_counts.items())
             for key, end in fc.functions.items():
                 _add_function(target.functions, key, end)
+            merged[fc.path] = target._replace(
+                lines=sorted({*target.lines, *fc.lines}),
+                hit_lines=sorted({*target.hit_lines, *fc.hit_lines}),
+            )
     return Tracefile(records=list(merged.values()))
 
 
@@ -396,38 +375,31 @@ def coverage_delta(
         )
 
     universe = merge_tracefiles([baseline, augmented])
-    base_counts = {fc.path: fc.line_counts for fc in baseline.records}
-    aug_counts = {fc.path: fc.line_counts for fc in augmented.records}
     total_universe = universe.total_lines()
 
-    def overall(run_counts: dict[str, dict[int, int]]) -> float:
+    def overall(run: Tracefile) -> float:
         # Every line of either run is in the universe, so count the run's own hits.
-        hits = sum(_hit_lines(counts) for counts in run_counts.values())
-        return 100.0 * hits / total_universe if total_universe else 0.0
+        return 100.0 * run.covered_lines() / total_universe if total_universe else 0.0
 
-    sites, sorted_lines = _choose_sites(universe, catalog.apis)
+    base_hits = {fc.path: fc.hit_lines for fc in baseline.records}
+    aug_hits = {fc.path: fc.hit_lines for fc in augmented.records}
+    # Per file, the lines hit in both runs: an API's new lines are its augmented hits less these.
+    both = {path: sorted(set(hits).intersection(aug_hits.get(path, ()))) for path, hits in base_hits.items()}
+    sites = _choose_sites(universe, catalog.apis)
     newly: list[str] = []
     improved: list[str] = []
     new_api_lines = 0
     for name in sorted(sites):
-        path, start, _end, eloc, _covered = sites[name][0]
-        lines = sorted_lines[path]
-        lo = bisect_left(lines, start)
-        base = base_counts.get(path, {})
-        aug = aug_counts.get(path, {})
-        base_cov = aug_cov = 0
-        for line in lines[lo : lo + eloc]:
-            in_base = base.get(line, 0) > 0
-            in_aug = aug.get(line, 0) > 0
-            base_cov += in_base
-            aug_cov += in_aug
-            new_api_lines += in_aug and not in_base
+        path, start, end, _eloc, _covered = sites[name][0]
+        base_cov = _between(base_hits.get(path, []), start, end)
+        aug_cov = _between(aug_hits.get(path, []), start, end)
+        new_api_lines += aug_cov - _between(both.get(path, []), start, end)
         if base_cov == 0 and aug_cov > 0:
             newly.append(name)
         elif base_cov > 0 and aug_cov > base_cov:
             improved.append(name)
 
-    extra_pct = overall(aug_counts) - overall(base_counts)
+    extra_pct = overall(augmented) - overall(baseline)
     if diag:
         diag.emit("coverage_delta", extra_pct=extra_pct, newly=len(newly), improved=len(improved))
     return {

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -113,6 +114,30 @@ def test_catalog_missing_shared_object(tmp_path, capsys):
     cfg.write_text(json.dumps(config))
     assert main(["catalog", "--config", str(cfg)]) == 1
     assert "missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["directory", "fifo"])
+def test_catalog_shared_object_not_a_regular_file(tmp_path, kind):
+    so = tmp_path / "libghost.so"
+    so.mkdir() if kind == "directory" else os.mkfifo(so)
+    config = {
+        "libraries": [{"name": "ghost", "shared_objects": [str(so)], "header_root": str(GOLDEN / "install" / "include")}],
+        "output_dir": str(tmp_path / "out"),
+    }
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    # In a child with a timeout: a stage that opened the FIFO would block.
+    src = str(Path(apimeter.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "apimeter", "catalog", "--config", str(cfg)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    mode = stat.filemode(so.stat().st_mode)
+    assert f"error: ghost: shared object is not a regular file (mode {mode}): {so}\n" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_scan_requires_catalog(workspace, capsys):

@@ -22,7 +22,7 @@ def test_parse_basic_block():
     fc = tf.records[0]
     assert fc.path == "a.c"
     assert list(fc.functions.items()) == [(("f", 3), None)]
-    assert fc.line_counts == {3: 1, 4: 0}
+    assert (fc.lines, fc.hit_lines) == ([3, 4], [3])
 
 
 def test_parse_fn_with_end_line():
@@ -36,13 +36,13 @@ def test_parse_empty_input():
 
 def test_parse_da_checksum_variant():
     tf = parse_tracefile("SF:a.c\nDA:3,2,abcdef\nend_of_record")
-    assert tf.records[0].line_counts == {3: 2}
+    assert (tf.records[0].lines, tf.records[0].hit_lines) == ([3], [3])
 
 
 def test_parse_unknown_directive_is_skipped_with_diagnostic():
     diag = Diagnostics()
     tf = parse_tracefile("SF:a.c\nVERSION:9\nDA:1,1\nend_of_record", diag)
-    assert tf.records[0].line_counts == {1: 1}
+    assert (tf.records[0].lines, tf.records[0].hit_lines) == ([1], [1])
     assert diag.count("unknown_directive") == 1
 
 
@@ -75,7 +75,7 @@ def test_repeated_sf_blocks_merge():
         "SF:a.c\nDA:1,1\nend_of_record\nSF:a.c\nDA:1,2\nDA:3,0\nend_of_record"
     )
     assert len(tf.records) == 1
-    assert tf.records[0].line_counts == {1: 3, 3: 0}
+    assert (tf.records[0].lines, tf.records[0].hit_lines) == ([1, 3], [1])
 
 
 def test_extents_next_function_heuristic():
@@ -131,11 +131,11 @@ def test_reannotate_clears_apis_absent_from_new_tracefile():
     assert (again.apis["f"].eloc, again.apis["f"].covered_lines) == (2, 2)
 
 
-def test_merge_sums_counts():
+def test_merge_unions_lines():
     a = parse_tracefile("SF:x.c\nDA:3,1\nend_of_record")
     b = parse_tracefile("SF:x.c\nDA:3,0\nDA:4,2\nend_of_record")
     merged = merge_tracefiles([a, b])
-    assert merged.records[0].line_counts == {3: 1, 4: 2}
+    assert (merged.records[0].lines, merged.records[0].hit_lines) == ([3, 4], [3, 4])
 
 
 def test_merge_explicit_extent_wins():
@@ -148,7 +148,8 @@ def test_merge_explicit_extent_wins():
 def test_merge_with_empty_is_identity():
     a = parse_tracefile("SF:x.c\nFN:1,f\nDA:1,5\nend_of_record")
     merged = merge_tracefiles([a, Tracefile()])
-    assert merged.by_path()["x.c"].line_counts == {1: 5}
+    fc = merged.by_path()["x.c"]
+    assert (fc.lines, fc.hit_lines) == ([1], [1])
 
 
 def test_merge_of_one_run_is_that_run():
@@ -262,22 +263,22 @@ def tracefiles(draw):
     return parse_tracefile("\n".join(records))
 
 
+def _line_sets(tf):
+    return {fc.path: (fc.lines, fc.hit_lines) for fc in tf.records}
+
+
 @given(tracefiles(), tracefiles())
 def test_merge_commutative(a, b):
     ab = merge_tracefiles([a, b])
     ba = merge_tracefiles([b, a])
-    assert {fc.path: fc.line_counts for fc in ab.records} == {
-        fc.path: fc.line_counts for fc in ba.records
-    }
+    assert _line_sets(ab) == _line_sets(ba)
 
 
 @given(tracefiles(), tracefiles(), tracefiles())
 def test_merge_associative(a, b, c):
     left = merge_tracefiles([merge_tracefiles([a, b]), c])
     right = merge_tracefiles([a, merge_tracefiles([b, c])])
-    assert {fc.path: fc.line_counts for fc in left.records} == {
-        fc.path: fc.line_counts for fc in right.records
-    }
+    assert _line_sets(left) == _line_sets(right)
 
 
 @given(tracefiles())

@@ -1,7 +1,8 @@
 """The coverage module against the frozen reference implementation.
 
 Every public step the CLI runs is compared on the same input: parsing
-(records, function order, line counts, diagnostics, or the exact error),
+(records, function order, instrumented and hit lines, diagnostics, or the
+exact error),
 merging, median selection, function extents, catalog annotation (including
 `ambiguous_function` events) and the baseline/augmented delta, whose report
 fields must be equal, floats included.
@@ -17,7 +18,8 @@ from apimeter.catalog import catalog_to_dict
 from apimeter.diagnostics import Diagnostics
 from conftest import make_catalog
 
-MAX = new.MAX_COUNT
+# The reference's saturation point: counts around it must still read as hit.
+MAX = ref.MAX_COUNT
 
 
 def _functions(fc):
@@ -28,8 +30,16 @@ def _functions(fc):
     return [(f.name, f.start, f.end) for f in fc.functions]
 
 
+def _line_sets(fc):
+    """A file's sorted instrumented lines and hit lines: the module stores them,
+    the reference derives them from its per-line counts."""
+    if hasattr(fc, "line_counts"):
+        return sorted(fc.line_counts), sorted(line for line, count in fc.line_counts.items() if count > 0)
+    return fc.lines, fc.hit_lines
+
+
 def _shape(tf):
-    return [(fc.path, _functions(fc), list(fc.line_counts.items())) for fc in tf.records]
+    return [(fc.path, _functions(fc), *_line_sets(fc)) for fc in tf.records]
 
 
 def _outcome(fn, *args):
@@ -255,9 +265,9 @@ def test_golden_tracefiles_match_reference():
     _assert_same([p.read_text() for p in sorted(GOLDEN.glob("*.info"))])
 
 
-def test_saturating_edge_case_reaches_max_count():
+def test_saturating_edge_case_is_hit():
     tf = new.parse_tracefile("SF:a.c\n" + "DA:1,999999999999999999\n" * 10 + "end_of_record\n")
-    assert tf.records[0].line_counts == {1: MAX}
+    assert (tf.records[0].lines, tf.records[0].hit_lines) == ([1], [1])
 
 
 # --- generated LCOV text ---------------------------------------------------------
