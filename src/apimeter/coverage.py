@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left, bisect_right
-from collections.abc import Container, Sequence
+from collections.abc import Container, Iterable, Sequence
 from itertools import compress
 from typing import NamedTuple
 
@@ -26,12 +26,13 @@ _IGNORED = ("TN:", "FNF:", "FNH:", "LF:", "LH:", "BRDA:", "BRF:", "BRH:", "FNL:"
 class FileCoverage(NamedTuple):
     """One instrumented file. `functions` maps each (name, start) to its end
     line or None, in the order first seen. `lines` are the instrumented lines
-    and `hit_lines` those with a count above zero, each sorted, no repeats."""
+    and `hit_lines` those with a count above zero, each sorted, no repeats: as
+    tuples, which the garbage collector stops tracking once it sees only ints."""
 
     path: str
     functions: dict[tuple[str, int], int | None]
-    lines: list[int]
-    hit_lines: list[int]
+    lines: tuple[int, ...]
+    hit_lines: tuple[int, ...]
 
 
 class Tracefile(NamedTuple):
@@ -51,7 +52,7 @@ class Tracefile(NamedTuple):
         return 100.0 * self.covered_lines() / total if total else 0.0
 
 
-def _between(lines: list[int], start: int, end: int) -> int:
+def _between(lines: Sequence[int], start: int, end: int) -> int:
     """How many of the sorted `lines` lie in [start, end]."""
     return bisect_right(lines, end) - bisect_left(lines, start)
 
@@ -133,18 +134,17 @@ def parse_tracefile(content: str, diag: Diagnostics | None = None) -> Tracefile:
             _add_record(content, match, records)
         line_number += content.count("\n", pos, end)
         pos = end
-    # Each file's lines were appended as they came: sort them once, dropping repeats.
-    return Tracefile(
-        [fc._replace(lines=sorted(set(fc.lines)), hit_lines=sorted(set(fc.hit_lines))) for fc in records.values()]
-    )
+    # Each file's lines were appended to lists as they came: sort them once, dropping repeats.
+    return Tracefile([fc._replace(lines=_sorted(fc.lines), hit_lines=_sorted(fc.hit_lines)) for fc in records.values()])
+
+
+def _sorted(lines: Iterable[int]) -> tuple[int, ...]:
+    return tuple(sorted(set(lines)))
 
 
 def _add_record(content: str, match: re.Match[str], records: dict[str, FileCoverage]) -> None:
-    """Merge one record that _RECORD accepted.
-
-    Functions are added one by one, widening a repeated one's end line. The
-    DA run's lines, and those with a count above zero, are appended.
-    """
+    """Merge one record that _RECORD accepted: its functions one by one,
+    widening a repeated one's end line, then its DA run's lines and hit lines."""
     path, run = match.group("path", "da")
     fc = records.get(path)
     if fc is None:
@@ -325,8 +325,7 @@ def merge_tracefiles(tracefiles: list[Tracefile]) -> Tracefile:
     """Union files, and per file its lines, hit lines and function records.
 
     parse_tracefile already merges repeated paths and functions, so a file's
-    first copy is taken as it is (line lists are never changed in place, so
-    they are shared), and one tracefile comes back itself.
+    first copy is taken as it is, and one tracefile comes back itself.
     """
     if len(tracefiles) == 1:
         return tracefiles[0]
@@ -340,8 +339,8 @@ def merge_tracefiles(tracefiles: list[Tracefile]) -> Tracefile:
             for key, end in fc.functions.items():
                 _add_function(target.functions, key, end)
             merged[fc.path] = target._replace(
-                lines=sorted({*target.lines, *fc.lines}),
-                hit_lines=sorted({*target.hit_lines, *fc.hit_lines}),
+                lines=_sorted((*target.lines, *fc.lines)),
+                hit_lines=_sorted((*target.hit_lines, *fc.hit_lines)),
             )
     return Tracefile(records=list(merged.values()))
 
@@ -384,16 +383,16 @@ def coverage_delta(
     base_hits = {fc.path: fc.hit_lines for fc in baseline.records}
     aug_hits = {fc.path: fc.hit_lines for fc in augmented.records}
     # Per file, the lines hit in both runs: an API's new lines are its augmented hits less these.
-    both = {path: sorted(set(hits).intersection(aug_hits.get(path, ()))) for path, hits in base_hits.items()}
+    both = {path: _sorted(set(hits).intersection(aug_hits.get(path, ()))) for path, hits in base_hits.items()}
     sites = _choose_sites(universe, catalog.apis)
     newly: list[str] = []
     improved: list[str] = []
     new_api_lines = 0
     for name in sorted(sites):
         path, start, end, _eloc, _covered = sites[name][0]
-        base_cov = _between(base_hits.get(path, []), start, end)
-        aug_cov = _between(aug_hits.get(path, []), start, end)
-        new_api_lines += aug_cov - _between(both.get(path, []), start, end)
+        base_cov = _between(base_hits.get(path, ()), start, end)
+        aug_cov = _between(aug_hits.get(path, ()), start, end)
+        new_api_lines += aug_cov - _between(both.get(path, ()), start, end)
         if base_cov == 0 and aug_cov > 0:
             newly.append(name)
         elif base_cov > 0 and aug_cov > base_cov:

@@ -22,7 +22,7 @@ def test_parse_basic_block():
     fc = tf.records[0]
     assert fc.path == "a.c"
     assert list(fc.functions.items()) == [(("f", 3), None)]
-    assert (fc.lines, fc.hit_lines) == ([3, 4], [3])
+    assert (fc.lines, fc.hit_lines) == ((3, 4), (3,))
 
 
 def test_parse_fn_with_end_line():
@@ -36,13 +36,13 @@ def test_parse_empty_input():
 
 def test_parse_da_checksum_variant():
     tf = parse_tracefile("SF:a.c\nDA:3,2,abcdef\nend_of_record")
-    assert (tf.records[0].lines, tf.records[0].hit_lines) == ([3], [3])
+    assert (tf.records[0].lines, tf.records[0].hit_lines) == ((3,), (3,))
 
 
 def test_parse_unknown_directive_is_skipped_with_diagnostic():
     diag = Diagnostics()
     tf = parse_tracefile("SF:a.c\nVERSION:9\nDA:1,1\nend_of_record", diag)
-    assert (tf.records[0].lines, tf.records[0].hit_lines) == ([1], [1])
+    assert (tf.records[0].lines, tf.records[0].hit_lines) == ((1,), (1,))
     assert diag.count("unknown_directive") == 1
 
 
@@ -75,7 +75,7 @@ def test_repeated_sf_blocks_merge():
         "SF:a.c\nDA:1,1\nend_of_record\nSF:a.c\nDA:1,2\nDA:3,0\nend_of_record"
     )
     assert len(tf.records) == 1
-    assert (tf.records[0].lines, tf.records[0].hit_lines) == ([1, 3], [1])
+    assert (tf.records[0].lines, tf.records[0].hit_lines) == ((1, 3), (1,))
 
 
 def test_extents_next_function_heuristic():
@@ -135,7 +135,7 @@ def test_merge_unions_lines():
     a = parse_tracefile("SF:x.c\nDA:3,1\nend_of_record")
     b = parse_tracefile("SF:x.c\nDA:3,0\nDA:4,2\nend_of_record")
     merged = merge_tracefiles([a, b])
-    assert (merged.records[0].lines, merged.records[0].hit_lines) == ([3, 4], [3, 4])
+    assert (merged.records[0].lines, merged.records[0].hit_lines) == ((3, 4), (3, 4))
 
 
 def test_merge_explicit_extent_wins():
@@ -149,7 +149,7 @@ def test_merge_with_empty_is_identity():
     a = parse_tracefile("SF:x.c\nFN:1,f\nDA:1,5\nend_of_record")
     merged = merge_tracefiles([a, Tracefile()])
     fc = merged.by_path()["x.c"]
-    assert (fc.lines, fc.hit_lines) == ([1], [1])
+    assert (fc.lines, fc.hit_lines) == ((1,), (1,))
 
 
 def test_merge_of_one_run_is_that_run():

@@ -34,7 +34,7 @@ def _line_sets(fc):
     """A file's sorted instrumented lines and hit lines: the module stores them,
     the reference derives them from its per-line counts."""
     if hasattr(fc, "line_counts"):
-        return sorted(fc.line_counts), sorted(line for line, count in fc.line_counts.items() if count > 0)
+        return tuple(sorted(fc.line_counts)), tuple(sorted(line for line, count in fc.line_counts.items() if count > 0))
     return fc.lines, fc.hit_lines
 
 
@@ -267,7 +267,7 @@ def test_golden_tracefiles_match_reference():
 
 def test_saturating_edge_case_is_hit():
     tf = new.parse_tracefile("SF:a.c\n" + "DA:1,999999999999999999\n" * 10 + "end_of_record\n")
-    assert (tf.records[0].lines, tf.records[0].hit_lines) == ([1], [1])
+    assert (tf.records[0].lines, tf.records[0].hit_lines) == ((1,), (1,))
 
 
 # --- generated LCOV text ---------------------------------------------------------
