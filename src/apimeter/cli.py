@@ -287,7 +287,7 @@ def cmd_catalog(config: RunConfig, args: argparse.Namespace, diag: Diagnostics) 
                 mode = os.stat(so).st_mode
             except (FileNotFoundError, NotADirectoryError):
                 raise ConfigError(f"{spec.name}: shared object missing: {so}") from None
-            except OSError as exc:
+            except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
                 raise ConfigError(f"{spec.name}: cannot stat shared object {so}: {exc}") from exc
             if not stat.S_ISREG(mode):
                 raise ConfigError(f"{spec.name}: shared object is not a regular file (mode {stat.filemode(mode)}): {so}")

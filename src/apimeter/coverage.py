@@ -339,8 +339,8 @@ def merge_tracefiles(tracefiles: list[Tracefile]) -> Tracefile:
             for key, end in fc.functions.items():
                 _add_function(target.functions, key, end)
             merged[fc.path] = target._replace(
-                lines=_sorted((*target.lines, *fc.lines)),
-                hit_lines=_sorted((*target.hit_lines, *fc.hit_lines)),
+                lines=_sorted(target.lines + fc.lines),
+                hit_lines=_sorted(target.hit_lines + fc.hit_lines),
             )
     return Tracefile(records=list(merged.values()))
 

@@ -140,6 +140,18 @@ def test_catalog_shared_object_not_a_regular_file(tmp_path, kind):
     assert not (tmp_path / "out").exists()
 
 
+def test_catalog_shared_object_path_with_nul_byte(tmp_path, capsys):
+    config = {
+        "libraries": [{"name": "ghost", "shared_objects": ["lib\0.so"], "header_root": str(GOLDEN / "install" / "include")}],
+        "output_dir": str(tmp_path / "out"),
+    }
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["catalog", "--config", str(cfg)]) == 1
+    so = tmp_path / "lib\0.so"  # relative paths resolve against the config's directory
+    assert f"error: ghost: cannot stat shared object {so}: embedded null byte\n" in capsys.readouterr().err
+
+
 def test_scan_requires_catalog(workspace, capsys):
     cfg, out = workspace
     assert main(["scan", "--config", str(cfg), "--library", "tinykv"]) == 1
