@@ -22,7 +22,7 @@ from typing import Any, NamedTuple
 
 from . import artifacts
 from .artifacts import Field, checked, is_count
-from .diagnostics import Diagnostics
+from .diagnostics import SILENT, Diagnostics
 from .elf import exported_text_symbols
 from .errors import EmptyCatalogError, EmptyHeaderSetError, InputFileError
 
@@ -87,9 +87,7 @@ def read_text(path: str, cap_bytes: int | None = None) -> str | None:
 WalkEntry = tuple[str, list[str], list[str], str]
 
 
-def walk_tree(
-    root: str | Path, diag: Diagnostics | None = None, client: str | None = None
-) -> Iterator[WalkEntry]:
+def walk_tree(root: str | Path, diag: Diagnostics = SILENT, client: str | None = None) -> Iterator[WalkEntry]:
     """Walk root top-down, each directory before those below it, yielding WalkEntries.
 
     Names are sorted and subdirectories walked in that order. A directory or a symlink to
@@ -116,8 +114,7 @@ def walk_tree(
         except OSError as exc:
             if client is None:
                 raise
-            if diag:
-                diag.emit("dir_unreadable", client=client, path=rel, error=str(exc))
+            diag.emit("dir_unreadable", client=client, path=rel, error=str(exc))
             continue
         yield rel, dirs, files, path
         stack += reversed(descend)
@@ -206,7 +203,7 @@ def harvest_header_identifiers(header_root: str | Path) -> set[str]:
     return identifiers
 
 
-def build_catalog(spec: LibrarySpec, diag: Diagnostics | None = None) -> ApiCatalog:
+def build_catalog(spec: LibrarySpec, diag: Diagnostics = SILENT) -> ApiCatalog:
     """Intersect exported symbols across shared objects with header tokens.
 
     Symbols exported by several shared objects are kept once; per-object
@@ -224,14 +221,13 @@ def build_catalog(spec: LibrarySpec, diag: Diagnostics | None = None) -> ApiCata
             f"{spec.name}: no exported symbol appears in the headers "
             f"({len(exported)} exported, {len(header_ids)} header identifiers)"
         )
-    if diag:
-        diag.emit(
-            "catalog_built",
-            library=spec.name,
-            exported=len(exported),
-            filtered_out=len(exported - api_names),
-            apis=len(api_names),
-        )
+    diag.emit(
+        "catalog_built",
+        library=spec.name,
+        exported=len(exported),
+        filtered_out=len(exported - api_names),
+        apis=len(api_names),
+    )
     return ApiCatalog(
         library=spec.name,
         apis={name: ApiSymbol(name=name) for name in sorted(api_names)},

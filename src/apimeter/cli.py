@@ -202,8 +202,9 @@ def reports_dir(config: RunConfig, library: str) -> Path:
 
 
 def _stage_input(path: Path, stage: str) -> Path:
-    """`path`, which the `stage` command writes; an error naming both if it is missing."""
-    if not path.is_file():
+    """`path`, which the `stage` command writes; an error naming both if it is missing.
+    Anything else there, a directory say, is left for the loader to refuse by name."""
+    if not path.exists():
         raise MissingInputsError(f"missing {path} (run `{stage}` first)")
     return path
 
@@ -353,21 +354,11 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace, diag: Diagnostics) -> 
             skipped.append(entry.client)
             diag.emit("client_missing", client=entry.client, expected=str(root))
 
-    context = (spec, inv, catalog, config, args.sites)
-    if config.jobs > 1 and len(jobs) > 1:
-        # Imported here: it loads multiprocessing, which no other stage needs.
-        from concurrent.futures import ProcessPoolExecutor
-
-        # The fork start method starts every worker at once, so never more than there are clients.
-        workers = min(config.jobs, len(jobs))
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=context) as pool:
-            results = list(pool.map(_scan_one, [e for e, _ in jobs], [r for _, r in jobs]))
-    else:
-        _init_worker(*context)
-        results = [_scan_one(entry, root) for entry, root in jobs]
-
     out_dir = Path(config.output_dir)
-    for prep, report, events in results:
+
+    def keep(prep: dict, report: UsageReport, events: list[dict]) -> UsageReport:
+        """Replay one client's events and write its artifacts as its result arrives. Returns the
+        report without its sites, which is all the corpus needs."""
         for event in events:
             diag.emit(**event)
         stem = f"{_slug(library)}_{_slug(report.client_id)}"
@@ -376,11 +367,26 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace, diag: Diagnostics) -> 
         if report.sites is not None:
             listing = "".join(f"{s.file}:{s.line}:{s.api}\n" for s in report.sites)
             artifacts.write_text(out_dir / f"usage_{stem}.sites.txt", listing)
+        return report._replace(sites=None)
 
-    agg = scan.aggregate_reports(library, len(catalog.apis), [r for _, r, _ in results])
+    context = (spec, inv, catalog, config, args.sites)
+    if config.jobs > 1 and len(jobs) > 1:
+        # Imported here: it loads multiprocessing, which no other stage needs.
+        from concurrent.futures import ProcessPoolExecutor
+
+        # The fork start method starts every worker at once, so never more than there are clients.
+        workers = min(config.jobs, len(jobs))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=context) as pool:
+            # map yields results in client order, each as soon as it and those before it are done.
+            usage = [keep(*result) for result in pool.map(_scan_one, *zip(*jobs))]
+    else:
+        _init_worker(*context)
+        usage = [keep(*_scan_one(entry, root)) for entry, root in jobs]
+
+    agg = scan.aggregate_reports(library, len(catalog.apis), usage)
     artifacts.write_json(corpus_path(config, library), corpus_dict(agg, skipped))
     print(
-        f"{library}: scanned {len(results)} clients"
+        f"{library}: scanned {len(usage)} clients"
         + (f", skipped {len(skipped)}" if skipped else "")
         + f" -> {corpus_path(config, library)}"
     )
@@ -445,7 +451,7 @@ def cmd_report(config: RunConfig, args: argparse.Namespace, diag: Diagnostics) -
 
     improvement = None
     imp_path = improvement_path(config, library)
-    if imp_path.is_file():
+    if imp_path.exists():
         improvement = (library, artifacts.load_json(imp_path, "improvement report", improvement_from_dict))
 
     written = reports.emit_reports(
@@ -507,19 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="run configuration JSON")
     shared.add_argument("--output", help="override the configured output directory")
-    shared.add_argument("--jobs", type=int, help="worker processes for scanning (at most one per client)")
-    shared.add_argument(
-        "--paper-faithful",
-        action="store_true",
-        help="line-regex comment exclusion (drops calls sharing a line with a comment)",
-    )
-    shared.add_argument(
-        "--loose-call-match",
-        action="store_true",
-        help="allow arbitrary whitespace between API name and '('",
-    )
-    shared.add_argument("--overlap-threshold", type=float, help="vendored-dir name-overlap ratio")
-    shared.add_argument("--min-lib-files", type=int, help="library dirs smaller than this never match")
 
     parser = argparse.ArgumentParser(
         prog="apimeter",
@@ -534,6 +527,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", parents=[shared], help="scan all clients of a library for API uses")
     p.add_argument("--library", required=True)
     p.add_argument("--sites", action="store_true", help="also record file:line:api use sites")
+    p.add_argument("--jobs", type=int, help="worker processes for scanning (at most one per client)")
+    p.add_argument(
+        "--paper-faithful",
+        action="store_true",
+        help="line-regex comment exclusion (drops calls sharing a line with a comment)",
+    )
+    p.add_argument(
+        "--loose-call-match",
+        action="store_true",
+        help="allow arbitrary whitespace between API name and '('",
+    )
+    p.add_argument("--overlap-threshold", type=float, help="vendored-dir name-overlap ratio")
+    p.add_argument("--min-lib-files", type=int, help="library dirs smaller than this never match")
     p.set_defaults(run=cmd_scan)
 
     p = sub.add_parser("coverage", parents=[shared], help="annotate the catalog from LCOV tracefiles")
@@ -565,6 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     # Without a config file every field takes its default, relative to the working directory.
+    # `--jobs`, the two thresholds and the two flags are `scan`'s alone; other subcommands lack them.
     config = load_config(args.config) if args.config else _run_config({}, Path())
     overrides = {"output_dir": args.output} if args.output else {}
     for dest, field in (
@@ -572,13 +579,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         ("overlap_threshold", FIELDS["thresholds", "overlap"]),
         ("min_lib_files", FIELDS["thresholds", "min_lib_files"]),
     ):
-        if getattr(args, dest) is not None:
+        if getattr(args, dest, None) is not None:
             flag = "--" + dest.replace("_", "-")
             overrides[dest] = checked({flag: getattr(args, dest)}, {flag: field}, error=ConfigError)[flag]
     return config._replace(
         **overrides,
-        paper_faithful=config.paper_faithful or args.paper_faithful,
-        loose_call_match=config.loose_call_match or args.loose_call_match,
+        paper_faithful=config.paper_faithful or getattr(args, "paper_faithful", False),
+        loose_call_match=config.loose_call_match or getattr(args, "loose_call_match", False),
     )
 
 

@@ -19,7 +19,7 @@ from typing import Mapping, NamedTuple
 from . import artifacts
 from .catalog import (DEFAULT_MIN_LIB_FILES, DEFAULT_OVERLAP_THRESHOLD, LibrarySpec, WalkEntry, is_source_name,
                       read_text, walk_tree)
-from .diagnostics import Diagnostics
+from .diagnostics import SILENT, Diagnostics
 from .errors import InputFileError, MissingRootError
 
 _SECTION = re.compile(r"\[\s*submodule\b[^\]]*\]")
@@ -59,7 +59,7 @@ class LibraryInventory:
         return self._postings[min_files]
 
 
-def parse_submodule_manifest(content: str, diag: Diagnostics | None = None) -> list[str]:
+def parse_submodule_manifest(content: str, diag: Diagnostics = SILENT) -> list[str]:
     """Paths declared in a .gitmodules-style INI text, in file order."""
     paths: list[str] = []
     in_submodule = False
@@ -68,7 +68,7 @@ def parse_submodule_manifest(content: str, diag: Diagnostics | None = None) -> l
     for line_number, raw in enumerate(content.splitlines(), start=1):
         line = raw.strip()
         if _ANY_SECTION.match(line):
-            if in_submodule and not section_had_path and diag:
+            if in_submodule and not section_had_path:
                 diag.emit("submodule_missing_path", section_line=section_line)
             in_submodule = bool(_SECTION.match(line))
             section_had_path = False
@@ -80,7 +80,7 @@ def parse_submodule_manifest(content: str, diag: Diagnostics | None = None) -> l
         if key.strip() == "path" and value.strip():
             paths.append(value.strip())
             section_had_path = True
-    if in_submodule and not section_had_path and diag:
+    if in_submodule and not section_had_path:
         diag.emit("submodule_missing_path", section_line=section_line)
     return paths
 
@@ -152,7 +152,7 @@ def prepare_client(
     inv: LibraryInventory,
     threshold: float = DEFAULT_OVERLAP_THRESHOLD,
     min_lib_files: int = DEFAULT_MIN_LIB_FILES,
-    diag: Diagnostics | None = None,
+    diag: Diagnostics = SILENT,
 ) -> ClientRecord:
     """Compute every exclusion for one checkout.
 
@@ -173,13 +173,11 @@ def prepare_client(
             declared = read_text(str(manifest))
         except OSError as exc:  # then the client is prepared without submodule rules
             declared = ""
-            if diag:
-                diag.emit("file_unreadable", client=client_id, path=".gitmodules", error=str(exc))
+            diag.emit("file_unreadable", client=client_id, path=".gitmodules", error=str(exc))
         for sub in parse_submodule_manifest(declared, diag):
             rel = PurePosixPath(sub).as_posix().rstrip("/")
             if rel.startswith("/") or ".." in rel.split("/"):
-                if diag:
-                    diag.emit("submodule_outside_root", client=client_id, path=sub)
+                diag.emit("submodule_outside_root", client=client_id, path=sub)
                 continue
             excluded_dirs.add(rel)
             rules[rel] = "submodule"
@@ -196,9 +194,8 @@ def prepare_client(
             rules[fname if rel_dir == "." else f"{rel_dir}/{fname}"] = "explicit"
     excluded_files = {rel for rel, rule in rules.items() if rule == "explicit"}
 
-    if diag:
-        diag.emit("client_prepared", client=client_id, excluded_dirs=len(excluded_dirs),
-                  excluded_files=len(excluded_files))
+    diag.emit("client_prepared", client=client_id, excluded_dirs=len(excluded_dirs),
+              excluded_files=len(excluded_files))
     return ClientRecord(client_id=client_id, root=str(root_path), excluded_dirs=frozenset(excluded_dirs),
                         excluded_files=frozenset(excluded_files), rules=rules, listing=listing)
 

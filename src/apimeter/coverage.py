@@ -16,7 +16,7 @@ from itertools import compress
 from typing import NamedTuple
 
 from .catalog import ApiCatalog, ApiSymbol, with_annotation
-from .diagnostics import Diagnostics
+from .diagnostics import SILENT, Diagnostics
 from .errors import FileSetMismatchError, MalformedDirectiveError
 
 # Summary/branch directives: recognized, carry nothing we use.
@@ -103,7 +103,7 @@ _DA_CHECKSUM = r"(?m)^(DA:[0-9]+,[0-9]+),[^\n]*"
 _END_OF_RECORD = "\nend_of_record\n"
 
 
-def parse_tracefile(content: str, diag: Diagnostics | None = None) -> Tracefile:
+def parse_tracefile(content: str, diag: Diagnostics = SILENT) -> Tracefile:
     """Parse an LCOV tracefile.
 
     Repeated SF blocks for one path are merged, keeping file paths unique
@@ -166,7 +166,7 @@ def _parse_lines(
     text: str,
     first_line: int,
     records: dict[str, FileCoverage],
-    diag: Diagnostics | None,
+    diag: Diagnostics = SILENT,
 ) -> None:
     """Parse `text` line by line into `records`; its first line is `first_line`."""
     current: FileCoverage | None = None
@@ -227,8 +227,7 @@ def _parse_lines(
             continue
         head, sep, _ = line.partition(":")
         if sep and head.isupper() and head.isalnum():
-            if diag:
-                diag.emit("unknown_directive", directive=head, line=line_number)
+            diag.emit("unknown_directive", directive=head, line=line_number)
             continue
         raise MalformedDirectiveError(f"unrecognized line: {line!r}", line_number)
 
@@ -279,9 +278,7 @@ def _choose_sites(tf: Tracefile, names: Container[str]) -> dict[str, list[_Site]
     return sites
 
 
-def annotate_catalog_coverage(
-    catalog: ApiCatalog, tf: Tracefile, diag: Diagnostics | None = None
-) -> ApiCatalog:
+def annotate_catalog_coverage(catalog: ApiCatalog, tf: Tracefile, diag: Diagnostics = SILENT) -> ApiCatalog:
     """Attach per-API location, ELOC and covered-line counts from a tracefile.
 
     APIs without a matching function stay unannotated (unmeasured, not 0%).
@@ -297,7 +294,7 @@ def annotate_catalog_coverage(
         provenance=dict(catalog.provenance),
     )
     for name, measured in sites.items():
-        if len(measured) > 1 and diag:
+        if len(measured) > 1:
             diag.emit(
                 "ambiguous_function",
                 api=name,
@@ -357,7 +354,7 @@ def coverage_delta(
     baseline: Tracefile,
     augmented: Tracefile,
     catalog: ApiCatalog,
-    diag: Diagnostics | None = None,
+    diag: Diagnostics = SILENT,
 ) -> dict:
     """Classify every catalog API by what the augmented run adds: the
     improvement report, as its artifact holds it.
@@ -399,8 +396,7 @@ def coverage_delta(
             improved.append(name)
 
     extra_pct = overall(augmented) - overall(baseline)
-    if diag:
-        diag.emit("coverage_delta", extra_pct=extra_pct, newly=len(newly), improved=len(improved))
+    diag.emit("coverage_delta", extra_pct=extra_pct, newly=len(newly), improved=len(improved))
     return {
         "extra_total_coverage_pct": extra_pct,
         "newly_covered_apis": newly,

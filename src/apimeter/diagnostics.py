@@ -1,9 +1,11 @@
 """Structured diagnostics: one JSON object per event.
 
 Corpus runs produce thousands of skip/warning events; they go to a log
-stream, never into reports. Library code takes an optional Diagnostics and
-stays silent when none is given. A sink with a stream only writes each
-event; one without collects them, for a caller to replay or assert on.
+stream, never into reports. Library code always has a sink: a function's
+`diag` defaults to SILENT, which drops every event and keeps none, so a
+caller that gives no sink gets silence and a shared default never
+collects. A sink with a stream only writes each event; one without
+collects them, for a caller to replay or assert on.
 """
 
 from __future__ import annotations
@@ -29,6 +31,14 @@ class Diagnostics:
 
     def count(self, event: str) -> int:
         return sum(1 for e in self.events if e["event"] == event)
+
+
+class _Silent(Diagnostics):
+    def emit(self, event: str, **fields: Any) -> None:
+        pass
+
+
+SILENT: Diagnostics = _Silent()
 
 
 def stderr_diagnostics() -> Diagnostics:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from . import artifacts
-from .diagnostics import Diagnostics
+from .diagnostics import SILENT, Diagnostics
 
 def _eval_row(client: str, modes: dict[str, dict]) -> dict:
     row: dict = {"client": client}
@@ -99,13 +99,7 @@ def _csv(header: list[str], rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _announce(path: Path, diag: Diagnostics | None) -> Path:
-    if diag:
-        diag.emit("report_written", path=str(path))
-    return path
-
-
-def emit_reports(directory: str | Path, diag: Diagnostics | None = None, **tables) -> list[Path]:
+def emit_reports(directory: str | Path, diag: Diagnostics = SILENT, **tables) -> list[Path]:
     """Write the report of each table given by its REPORTS keyword and not None; returns the written
     paths. A keyword that REPORTS does not list raises TypeError, as for any function."""
     if unknown := tables.keys() - {key for _, key, *_ in REPORTS}:
@@ -117,6 +111,8 @@ def emit_reports(directory: str | Path, diag: Diagnostics | None = None, **table
         if value is None:
             continue
         doc = {"schema_version": artifacts.SCHEMA_VERSION, **payload(value)}
-        written.append(_announce(artifacts.write_json(out / f"{name}.json", doc), diag))
-        written.append(_announce(artifacts.write_text(out / f"{name}.csv", _csv(header, rows(value))), diag))
+        written.append(artifacts.write_json(out / f"{name}.json", doc))
+        diag.emit("report_written", path=str(written[-1]))
+        written.append(artifacts.write_text(out / f"{name}.csv", _csv(header, rows(value))))
+        diag.emit("report_written", path=str(written[-1]))
     return written

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .catalog import DEFAULT_FILE_CAP_BYTES, ApiCatalog, is_source_name, read_text, walk_tree
 from .clientprep import ClientRecord
-from .diagnostics import Diagnostics
+from .diagnostics import SILENT, Diagnostics
 
 # Line-oriented comment exclusion for evaluation parity with purely
 # regex-based pipelines: any line containing a comment marker, or starting
@@ -89,7 +89,7 @@ def _spaces(token: str) -> str:
     return "\n".join(" " * len(line) for line in token.split("\n"))
 
 
-def blank_comments_and_strings(source: str, diag: Diagnostics | None = None) -> str:
+def blank_comments_and_strings(source: str, diag: Diagnostics = SILENT) -> str:
     """Blank every non-newline character of comments and string/char literals.
 
     One pass of the tokenizer; line count and the columns of surviving code
@@ -102,7 +102,7 @@ def blank_comments_and_strings(source: str, diag: Diagnostics | None = None) -> 
         token = m.group()
         if token[0] != "/":
             return _spaces(token)
-        if diag is not None and token[1] == "*" and (len(token) < 4 or not token.endswith("*/")):
+        if token[1] == "*" and (len(token) < 4 or not token.endswith("*/")):
             diag.emit("unterminated_block_comment", at_line=source.count("\n", 0, m.start()) + 1)
         return _spaces(token)
 
@@ -166,7 +166,7 @@ def scan_sources(
     files: Iterable[tuple[str, str]],
     api_names: frozenset[str] | set[str],
     options: ScanOptions = ScanOptions(),
-    diag: Diagnostics | None = None,
+    diag: Diagnostics = SILENT,
 ) -> tuple[dict[str, int], list[UseSite]]:
     """Count call sites over (relative path, text) pairs.
 
@@ -197,7 +197,7 @@ def scan_sources(
 def iter_client_sources(
     rec: ClientRecord,
     options: ScanOptions = ScanOptions(),
-    diag: Diagnostics | None = None,
+    diag: Diagnostics = SILENT,
 ) -> Iterator[tuple[str, str]]:
     """Yield scannable (relative path, text) of a prepared checkout, in walk order.
 
@@ -217,25 +217,21 @@ def iter_client_sources(
         for d in dirs:
             if sub + d in rec.excluded_dirs:
                 pruned.add(sub + d)
-                if diag:
-                    diag.emit("dir_excluded", client=rec.client_id, path=sub + d)
+                diag.emit("dir_excluded", client=rec.client_id, path=sub + d)
         for fname in files:
             if not is_source_name(fname):
                 continue
             rel = sub + fname
             if rel in rec.excluded_files:
-                if diag:
-                    diag.emit("file_excluded", client=rec.client_id, path=rel)
+                diag.emit("file_excluded", client=rec.client_id, path=rel)
                 continue
             try:
                 text = read_text(path + fname, options.file_cap_bytes)
             except OSError as exc:
-                if diag:
-                    diag.emit("file_unreadable", client=rec.client_id, path=rel, error=str(exc))
+                diag.emit("file_unreadable", client=rec.client_id, path=rel, error=str(exc))
                 continue
             if text is None:
-                if diag:
-                    diag.emit("file_too_large", client=rec.client_id, path=rel)
+                diag.emit("file_too_large", client=rec.client_id, path=rel)
                 continue
             yield rel, text
 
@@ -244,7 +240,7 @@ def scan_client(
     rec: ClientRecord,
     catalog: ApiCatalog,
     options: ScanOptions = ScanOptions(),
-    diag: Diagnostics | None = None,
+    diag: Diagnostics = SILENT,
 ) -> UsageReport:
     """Scan every non-excluded C/C++ file of one client."""
     uses, sites = scan_sources(iter_client_sources(rec, options, diag), catalog.names(), options, diag)

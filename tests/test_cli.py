@@ -622,6 +622,44 @@ def test_stage_without_catalog_names_it(workspace, capsys, argv):
     assert f"missing {out / 'catalog_tinykv.json'} (run `catalog` first)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, artifact, kind",
+    [
+        (["scan"], "catalog_tinykv.json", "catalog"),
+        (["report"], "improvement_tinykv.json", "improvement report"),
+    ],
+    ids=["catalog", "improvement"],
+)
+def test_directory_at_artifact_path_is_refused_by_name(workspace, capsys, argv, artifact, kind):
+    cfg, out = workspace
+    _run_to_report(cfg)
+    path = out / artifact
+    path.unlink()
+    path.mkdir()
+    capsys.readouterr()
+    assert main([*argv, "--config", str(cfg), "--library", "tinykv"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot load {kind} {path}: IsADirectoryError" in err
+    assert "missing" not in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["catalog"], ["coverage", "--library", "x"], ["report", "--library", "x"], ["eval", "--tool", "t", "--oracle", "o"]],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize(
+    "option", [["--jobs", "2"], ["--paper-faithful"], ["--loose-call-match"], ["--overlap-threshold", "0.5"],
+               ["--min-lib-files", "2"]], ids=lambda argv: argv[0]
+)
+def test_scan_only_options_are_refused_elsewhere(command, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *option])
+    assert exc.value.code == 2
+    # `coverage` takes the value after the option as a tracefile, so only the option is unrecognized there.
+    assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
+
+
 def test_report_requires_scan_artifacts(workspace, capsys):
     cfg, out = workspace
     main(["catalog", "--config", str(cfg)])
@@ -1096,6 +1134,22 @@ def test_stage_reruns_are_byte_identical(workspace):
     first = run_all()
     assert run_all() == first
     assert not [name for name in first if Path(name).name.startswith(".")]
+
+
+def test_report_reads_corpus_clients_not_its_stored_counts(workspace):
+    """`report` recomputes the corpus counts from `clients`; the stored ones are never read."""
+    cfg, out = workspace
+    _run_to_report(cfg)
+    report = ["report", "--config", str(cfg), "--library", "tinykv"]
+    assert main(report) == 0
+    reports = out / "reports" / "tinykv"
+    before = {p.name: p.read_bytes() for p in reports.iterdir()}
+    corpus = out / "usage_tinykv_corpus.json"
+    doc = json.loads(corpus.read_text())
+    doc.update(api_client_counts={"tk_open": 99, "nowhere": 1}, api_total_uses={}, clients_without_uses=["alpha"])
+    corpus.write_text(json.dumps(doc))
+    assert main(report) == 0
+    assert {p.name: p.read_bytes() for p in reports.iterdir()} == before
 
 
 def test_report_on_empty_corpus_is_valid(workspace, tmp_path):
