@@ -1,10 +1,12 @@
 """The scanner's call matcher against the frozen identifier-loop matcher.
 
-Both run through the scanner's entry point, `scan_sources`. The generated
+Both run through the scanner's entry point, `scan_sources`. The first generated
 texts hold no '/', '"', "'" or '*', so the comment and string blanking
 leaves them as they are and the matcher sees them unchanged. Uses and the sorted (api, line) list are compared in strict
 and loose mode, with lines (`collect_sites`) and without; whole-file scans
 are compared in the default, `paper_faithful` and `collect_sites` modes.
+The counts-path tests at the end generate texts full of comments and
+literals, and compare uses and events without lines.
 """
 
 from pathlib import Path
@@ -152,3 +154,69 @@ def test_scan_sources_modes_match_reference(options, extra):
     want = ref.scan_sources(files, names, options, want_diag)
     assert got == want
     assert got_diag.events == want_diag.events
+
+
+# The counts path (neither `collect_sites` nor `paper_faithful`) need not keep each blanked token's
+# width or newlines. These texts hold comments and literals, so its uses, strict and loose, and its
+# `unterminated_block_comment` events are compared with the reference, which blanks width for width.
+
+
+def _assert_counts_same(text: str) -> None:
+    files = [("f.c", text)]
+    for loose in (False, True):
+        options = ScanOptions(loose_call_match=loose)
+        got_diag, want_diag = Diagnostics(), Diagnostics()
+        got_uses, _ = scan_sources(files, NAMES, options, got_diag)
+        want_uses, _ = ref.scan_sources(files, NAMES, options, want_diag)
+        assert got_uses == want_uses
+        assert got_diag.events == want_diag.events
+
+
+COUNTS_EDGE_CASES = [
+    # a lone quote is a one-character token before a newline or at the end of the text
+    "tk_open'\n(a);",
+    'tk_open"\n(a);',
+    "tk_open '\n(a);",
+    "ab(x'\ntk_open (b);",
+    "tk_open'",
+    'tk_open"',
+    "tk_open '",
+    "tk_open(a) '",
+    # an open block comment can only be the last token
+    "tk_open(a); /*/",
+    "/*/",
+    "tk_open(a); /* tk_close(b);\n",
+    "/* a */ tk_open(b); /*/ tk_close(c);",
+    "/**/ tk_open(b); /*/",
+    "/* a */ tk_open(b); \"/*\" tk_close(c);",
+    "/* a */ tk_open(b); '/*' tk_close(c);",
+    "/* a */ tk_open(b); // /* tk_close(c);",
+    "tk_open(b); \"/*\" tk_close(c); /* d */",
+    "*/ tk_open(b); /*",
+    "/*/ */ tk_open(b); /*",
+    # line comments at the end of the text and continued by a backslash
+    "tk_open(a); // tk_close(b)",
+    "tk_open(a); //",
+    "// note \\\ntk_open(a);\ntk_close(b);",
+    "// note \\\\\ntk_open(a);\ntk_close(b);",
+    "tk_open // x\n(a);",
+    "tk_open /* x */ (a);",
+    "tk_open/**/(a);",
+    "tk_open\"\"(a);",
+    "tk_open''(a);",
+    'tk_open R"(x)" (a); R"d(tk_close(b))d" tk_close(c);',
+]
+
+
+@pytest.mark.parametrize("text", COUNTS_EDGE_CASES)
+def test_counts_path_edge_cases_match_reference(text):
+    _assert_counts_same(text)
+
+
+_TOKEN_PIECES = ["/", "*", '"', "'", "\\", "R", "(", "\n", " ", *sorted(NAMES)]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_TOKEN_PIECES), max_size=40).map("".join))
+def test_counts_path_on_token_text_matches_reference(text):
+    _assert_counts_same(text)
