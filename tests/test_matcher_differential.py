@@ -194,6 +194,15 @@ COUNTS_EDGE_CASES = [
     "tk_open(b); \"/*\" tk_close(c); /* d */",
     "*/ tk_open(b); /*",
     "/*/ */ tk_open(b); /*",
+    # a last token that runs to the end of the text, or a backslash that would continue it
+    'tk_open(a); R"d(tk_close(b);',
+    'tk_open(a); R"d(tk_close(b); /*',
+    "tk_open(a); // x \\",
+    'tk_open(a); "x\\',
+    "tk_open(a); 'x\\",
+    "tk_open(a); \\",
+    "tk_open",
+    "tk_open \n",
     # line comments at the end of the text and continued by a backslash
     "tk_open(a); // tk_close(b)",
     "tk_open(a); //",
