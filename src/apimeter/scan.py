@@ -2,8 +2,9 @@
 
 Finds call expressions of catalog APIs without preprocessing or parsing.
 One compiled tokenizer finds comments and string/char literals (raw
-strings included) in a single pass over each file and blanks them, keeping
-newlines so line numbers and columns survive. A use is a token-boundary API
+strings included) in a single pass over each file and blanks them. Where
+sites are kept it keeps newlines and widths, so line numbers and columns
+survive; a counts-only scan puts two spaces in place of each. A use is a token-boundary API
 name followed by at most one (non-newline) whitespace and an opening
 parenthesis; the matcher finds it from each '(' back to its identifier, in
 one regex pass over the reversed text. Uses inside macro bodies and #ifdef
@@ -109,6 +110,13 @@ def blank_comments_and_strings(source: str, diag: Diagnostics = SILENT) -> str:
     return _TOKEN.sub(blank, source)
 
 
+# Appended to a text before counts-path blanking. An open block comment or
+# raw string runs to the end and swallows it; after any other last token its
+# final "x" is left as code (a trailing backslash carries a line comment or a
+# literal over one newline, never two). It adds no call.
+_END = "\n\nx"
+
+
 def strip_comment_lines(source: str) -> str:
     """Line-regex comment exclusion: blank whole lines that look commented.
 
@@ -180,8 +188,14 @@ def scan_sources(
         if options.paper_faithful:
             # No comment survives strip_comment_lines, so this blanks literals only.
             prepared = blank_comments_and_strings(strip_comment_lines(text))
-        else:
+        elif options.collect_sites:
             prepared = blank_comments_and_strings(text, diag)
+        else:
+            # Counts need no widths or newlines. Two spaces never let a strict match span a
+            # token: the only one-character tokens are a lone quote before a newline or at the end.
+            prepared = _TOKEN.sub("  ", text + _END)
+            if prepared[-1] != "x":  # the last token may be an open block comment: lex for its event
+                prepared = blank_comments_and_strings(text, diag)
         if options.collect_sites:
             found_sites = _call_sites(prepared, reversed_names, pattern)
             sites += [UseSite(rel_path, line, api) for api, line in found_sites]
