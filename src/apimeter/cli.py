@@ -17,7 +17,7 @@ import re
 import stat
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, BinaryIO, NamedTuple
 
 from . import artifacts
 from .artifacts import Field, are_strings, checked, is_count
@@ -39,6 +39,7 @@ from .errors import (
     InputFileError,
     MalformedDirectiveError,
     MissingInputsError,
+    ScanWorkerError,
 )
 
 if TYPE_CHECKING:
@@ -300,9 +301,9 @@ def cmd_catalog(config: RunConfig, args: argparse.Namespace, diag: Diagnostics) 
 
 
 # What every client of one `scan` run shares (spec, inventory, catalog,
-# config, collect_sites). `_init_worker` sets it once per process: in each
-# `--jobs` worker, and in the stage's own process for a serial run. So each
-# task carries just its (entry, root).
+# config, collect_sites). `_init_worker` sets it once, in the stage's own
+# process, before any `--jobs` worker is forked; each worker inherits it. So
+# each client needs just its (entry, root).
 _worker_context: tuple = ()
 
 
@@ -330,6 +331,78 @@ def _scan_one(entry: DependencyEntry, root: Path) -> tuple[dict, UsageReport, li
     )
     report = scan.scan_client(rec, catalog, config.scan_options(collect_sites), diag)
     return clientprep.prep_report_dict(rec), report, diag.events
+
+
+def _send_results(jobs: list[tuple[DependencyEntry, Path]], write_fd: int) -> None:
+    """In a forked worker: scan `jobs` in order and write each `_scan_one` result, or the
+    exception it raised, to `write_fd` as a length-prefixed pickle. An exception is the last."""
+    import pickle
+
+    with os.fdopen(write_fd, "wb") as out:
+        for entry, root in jobs:
+            try:
+                result = (True, _scan_one(entry, root))
+            except Exception as exc:
+                result = (False, exc)
+            blob = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+            out.write(len(blob).to_bytes(8, "little"))
+            out.write(blob)
+            out.flush()
+            if not result[0]:
+                return
+
+
+def _scan_in_workers(jobs: list[tuple[DependencyEntry, Path]], workers: int, keep) -> list[UsageReport]:
+    """`keep(*result)` for each client's `_scan_one` result, in client order, scanned by
+    `workers` processes forked here. Worker w scans clients w, w + workers, ... and sends
+    each result down its own pipe; it blocks while the pipe is full, so this process holds
+    at most one result per worker. A worker's exception is raised at its client's turn.
+    Every worker is killed and reaped on the way out, whatever the way."""
+    import pickle
+    import signal
+
+    children: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe)
+    try:
+        for w in range(workers):
+            try:
+                read_fd, write_fd = os.pipe()
+                pid = os.fork()
+            except OSError as exc:
+                raise ScanWorkerError(f"cannot start scan worker {w + 1} of {workers}: {exc}") from exc
+            if pid == 0:  # the worker: it never returns from here
+                status = 1
+                try:
+                    os.close(read_fd)
+                    for _, pipe in children:
+                        pipe.close()
+                    _send_results(jobs[w::workers], write_fd)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+            os.close(write_fd)
+        usage = []
+        for i, (entry, _) in enumerate(jobs):
+            pid, pipe = children[i % workers]
+            size = int.from_bytes(pipe.read(8), "little")
+            blob = pipe.read(size)
+            if not blob or len(blob) < size:
+                _, status = os.waitpid(pid, 0)
+                children.remove((pid, pipe))
+                pipe.close()
+                code = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise ScanWorkerError(f"scan worker for client {entry.client!r} ended without its result ({how})")
+            ok, value = pickle.loads(blob)
+            if not ok:
+                raise value
+            usage.append(keep(*value))
+        return usage
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)  # a worker that has exited stays a zombie until reaped
+            os.waitpid(pid, 0)
 
 
 def cmd_scan(config: RunConfig, args: argparse.Namespace, diag: Diagnostics) -> int:
@@ -369,18 +442,12 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace, diag: Diagnostics) -> 
             artifacts.write_text(out_dir / f"usage_{stem}.sites.txt", listing)
         return report._replace(sites=None)
 
-    context = (spec, inv, catalog, config, args.sites)
-    if config.jobs > 1 and len(jobs) > 1:
-        # Imported here: it loads multiprocessing, which no other stage needs.
-        from concurrent.futures import ProcessPoolExecutor
-
-        # The fork start method starts every worker at once, so never more than there are clients.
-        workers = min(config.jobs, len(jobs))
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=context) as pool:
-            # map yields results in client order, each as soon as it and those before it are done.
-            usage = [keep(*result) for result in pool.map(_scan_one, *zip(*jobs))]
+    _init_worker(spec, inv, catalog, config, args.sites)
+    # Every worker is forked at once with a fixed share of the clients, so never more than there are clients.
+    workers = min(config.jobs, len(jobs))
+    if workers > 1:
+        usage = _scan_in_workers(jobs, workers, keep)
     else:
-        _init_worker(*context)
         usage = [keep(*_scan_one(entry, root)) for entry, root in jobs]
 
     agg = scan.aggregate_reports(library, len(catalog.apis), usage)

@@ -63,6 +63,10 @@ class SchemaVersionError(ApimeterError):
     """Persisted artifact carries an unsupported major schema version."""
 
 
+class ScanWorkerError(ApimeterError):
+    """A `scan --jobs` worker process ended before sending a client's result; names the client."""
+
+
 class ConfigError(ApimeterError):
     """Run configuration is invalid or references missing paths."""
 

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import signal
 import stat
 import subprocess
 import sys
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from apimeter import cli
 from apimeter.cli import load_dependency_db, main
 import apimeter
-from apimeter.errors import DependencyDbError
+from apimeter.errors import DependencyDbError, InputFileError
 from conftest import GOLDEN, synth_golden_so
 
 
@@ -503,36 +505,99 @@ def test_report_without_improvement_loads_no_coverage_module(workspace):
     assert "apimeter.coverage" not in loaded
 
 
-def test_scan_jobs_capped_at_client_count(workspace, monkeypatch):
-    import concurrent.futures
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
+
+def test_scan_jobs_capped_at_client_count(workspace, monkeypatch):
     cfg, out = workspace
     main(["catalog", "--config", str(cfg)])
     assert main(["scan", "--config", str(cfg), "--library", "tinykv"]) == 0
     serial = (out / "usage_tinykv_corpus.json").read_bytes()
-    requested = []
+    real_fork = os.fork
+    workers = []
 
-    class InProcessPool:
-        """Records `max_workers` and runs every task here: no process is started."""
+    def fork():
+        pid = real_fork()
+        if pid:
+            workers.append(pid)
+        return pid
 
-        def __init__(self, max_workers, initializer, initargs):
-            requested.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "fork", fork)
+    started = []
     for jobs in ("64", "2"):
+        workers.clear()
         assert main(["scan", "--config", str(cfg), "--library", "tinykv", "--jobs", jobs]) == 0
+        started.append(len(workers))
         assert (out / "usage_tinykv_corpus.json").read_bytes() == serial
-    assert requested == [3, 2]
+    assert started == [3, 2]
+    _assert_no_child_left()
+
+
+def _scan_failing_on(monkeypatch, client: str, fail) -> None:
+    """Make `_scan_one` call `fail()` instead of scanning `client`; forked workers inherit the patch."""
+    real = cli._scan_one
+
+    def scan_one(entry, root):
+        if entry.client == client:
+            fail()
+        return real(entry, root)
+
+    monkeypatch.setattr(cli, "_scan_one", scan_one)
+
+
+def test_scan_error_in_worker_matches_serial(workspace, capsys, monkeypatch):
+    cfg, out = workspace
+    main(["catalog", "--config", str(cfg)])
+
+    def fail():
+        raise InputFileError("cannot read beta's sources")
+
+    _scan_failing_on(monkeypatch, "beta", fail)
+    runs = []
+    for jobs in ("1", "2"):
+        (out / jobs).mkdir()
+        (out / jobs / "catalog_tinykv.json").write_bytes((out / "catalog_tinykv.json").read_bytes())
+        capsys.readouterr()
+        status = main(["scan", "--config", str(cfg), "--library", "tinykv", "--output", str(out / jobs), "--jobs", jobs])
+        runs.append((status, capsys.readouterr().err))
+        assert (out / jobs / "usage_tinykv_alpha.json").is_file()
+        assert not (out / jobs / "usage_tinykv_beta.json").exists()
+    assert runs[1] == runs[0]
+    status, err = runs[0]
+    assert status == 1
+    assert '"client": "alpha", "event": "client_prepared"' in err
+    assert "error: cannot read beta's sources" in err
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("how", ["exit", "kill"])
+def test_scan_worker_death_names_the_client(workspace, capsys, monkeypatch, how):
+    cfg, out = workspace
+    main(["catalog", "--config", str(cfg)])
+    _scan_failing_on(monkeypatch, "beta", lambda: os._exit(3) if how == "exit" else os.kill(os.getpid(), signal.SIGKILL))
+    capsys.readouterr()
+    assert main(["scan", "--config", str(cfg), "--library", "tinykv", "--jobs", "2"]) == 1
+    err = capsys.readouterr().err
+    ending = "exit status 3" if how == "exit" else "killed by signal 9"
+    assert f"error: scan worker for client 'beta' ended without its result ({ending})" in err
+    assert "Traceback" not in err
+    assert (out / "usage_tinykv_alpha.json").is_file()
+    _assert_no_child_left()
+
+
+def test_scan_interrupted_leaves_no_worker(workspace, monkeypatch):
+    cfg, _ = workspace
+    main(["catalog", "--config", str(cfg)])
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.artifacts, "write_json", interrupt)  # the first client's artifact, in this process
+    with pytest.raises(KeyboardInterrupt):
+        main(["scan", "--config", str(cfg), "--library", "tinykv", "--jobs", "2"])
+    _assert_no_child_left()
 
 
 def test_coverage_command_annotates(workspace, oracle):
