@@ -406,6 +406,15 @@ def test_import_leaves_process_pool_unloaded():
     assert "concurrent.futures.process" not in _modules_after_importing_cli()
 
 
+def test_parallel_scan_loads_no_process_pool(workspace):
+    # `--jobs` workers are forked by the stage itself.
+    cfg, _ = workspace
+    assert main(["catalog", "--config", str(cfg)]) == 0
+    loaded = _modules_loaded_by(["scan", "--config", str(cfg), "--library", "tinykv", "--jobs", "2"])
+    assert "apimeter.scan" in loaded
+    assert loaded & {"concurrent.futures", "multiprocessing"} == set()
+
+
 def test_scan_sites_listing(workspace):
     cfg, out = workspace
     main(["catalog", "--config", str(cfg)])
