@@ -357,7 +357,8 @@ def _scan_in_workers(jobs: list[tuple[DependencyEntry, Path]], workers: int, kee
     `workers` processes forked here. Worker w scans clients w, w + workers, ... and sends
     each result down its own pipe; it blocks while the pipe is full, so this process holds
     at most one result per worker. A worker's exception is raised at its client's turn.
-    Every worker is killed and reaped on the way out, whatever the way."""
+    Every worker is killed and reaped on the way out, whatever the way. Forking is safe
+    because the stage starts no thread."""
     import pickle
     import signal
 
@@ -366,7 +367,12 @@ def _scan_in_workers(jobs: list[tuple[DependencyEntry, Path]], workers: int, kee
         for w in range(workers):
             try:
                 read_fd, write_fd = os.pipe()
-                pid = os.fork()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_fd)
+                    os.close(write_fd)
+                    raise
             except OSError as exc:
                 raise ScanWorkerError(f"cannot start scan worker {w + 1} of {workers}: {exc}") from exc
             if pid == 0:  # the worker: it never returns from here

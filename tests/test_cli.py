@@ -1,3 +1,5 @@
+import contextlib
+import errno
 import json
 import os
 import re
@@ -519,6 +521,22 @@ def _assert_no_child_left() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Raise TimeoutError in the block, instead of hanging, once it has run `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_scan_jobs_capped_at_client_count(workspace, monkeypatch):
     cfg, out = workspace
     main(["catalog", "--config", str(cfg)])
@@ -569,7 +587,8 @@ def test_scan_error_in_worker_matches_serial(workspace, capsys, monkeypatch):
         (out / jobs).mkdir()
         (out / jobs / "catalog_tinykv.json").write_bytes((out / "catalog_tinykv.json").read_bytes())
         capsys.readouterr()
-        status = main(["scan", "--config", str(cfg), "--library", "tinykv", "--output", str(out / jobs), "--jobs", jobs])
+        with _deadline(60):
+            status = main(["scan", "--config", str(cfg), "--library", "tinykv", "--output", str(out / jobs), "--jobs", jobs])
         runs.append((status, capsys.readouterr().err))
         assert (out / jobs / "usage_tinykv_alpha.json").is_file()
         assert not (out / jobs / "usage_tinykv_beta.json").exists()
@@ -587,12 +606,33 @@ def test_scan_worker_death_names_the_client(workspace, capsys, monkeypatch, how)
     main(["catalog", "--config", str(cfg)])
     _scan_failing_on(monkeypatch, "beta", lambda: os._exit(3) if how == "exit" else os.kill(os.getpid(), signal.SIGKILL))
     capsys.readouterr()
-    assert main(["scan", "--config", str(cfg), "--library", "tinykv", "--jobs", "2"]) == 1
+    with _deadline(60):
+        assert main(["scan", "--config", str(cfg), "--library", "tinykv", "--jobs", "2"]) == 1
     err = capsys.readouterr().err
     ending = "exit status 3" if how == "exit" else "killed by signal 9"
     assert f"error: scan worker for client 'beta' ended without its result ({ending})" in err
     assert "Traceback" not in err
     assert (out / "usage_tinykv_alpha.json").is_file()
+    _assert_no_child_left()
+
+
+def test_scan_worker_that_cannot_start_is_an_error(workspace, capsys, monkeypatch):
+    cfg, _ = workspace
+    main(["catalog", "--config", str(cfg)])
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    capsys.readouterr()
+    with _deadline(60):
+        assert main(["scan", "--config", str(cfg), "--library", "tinykv", "--jobs", "2"]) == 1
+    assert "error: cannot start scan worker 2 of 2: [Errno 11] Resource temporarily unavailable" in capsys.readouterr().err
     _assert_no_child_left()
 
 
