@@ -17,7 +17,7 @@ import re
 import stat
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, NamedTuple
+from typing import TYPE_CHECKING, BinaryIO, Callable, NamedTuple
 
 from . import artifacts
 from .artifacts import Field, are_strings, checked, is_count
@@ -352,7 +352,9 @@ def _send_results(jobs: list[tuple[DependencyEntry, Path]], write_fd: int) -> No
                 return
 
 
-def _scan_in_workers(jobs: list[tuple[DependencyEntry, Path]], workers: int, keep) -> list[UsageReport]:
+def _scan_in_workers(
+    jobs: list[tuple[DependencyEntry, Path]], workers: int, keep: Callable[..., UsageReport]
+) -> list[UsageReport]:
     """`keep(*result)` for each client's `_scan_one` result, in client order, scanned by
     `workers` processes forked here. Worker w scans clients w, w + workers, ... and sends
     each result down its own pipe; it blocks while the pipe is full, so this process holds

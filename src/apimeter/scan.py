@@ -4,11 +4,12 @@ Finds call expressions of catalog APIs without preprocessing or parsing.
 One compiled tokenizer finds comments and string/char literals (raw
 strings included) in a single pass over each file and blanks them. Where
 sites are kept it keeps newlines and widths, so line numbers and columns
-survive; a counts-only scan puts two spaces in place of each. A use is a token-boundary API
-name followed by at most one (non-newline) whitespace and an opening
-parenthesis; the matcher finds it from each '(' back to its identifier, in
-one regex pass over the reversed text. Uses inside macro bodies and #ifdef
-regions count — under some build configuration they are real calls.
+survive; a counts-only scan puts two spaces in place of each. A use is a
+token-boundary API name followed by at most one (non-newline) whitespace
+and an opening parenthesis; the matcher finds it from each '(' back to its
+identifier, in one regex pass over the reversed text. Uses inside macro
+bodies and #ifdef regions count — under some build configuration they are
+real calls.
 """
 
 from __future__ import annotations
