@@ -1,8 +1,10 @@
 """Frozen per-character lexer: the reference for the scanner's tokenizer.
 
 This is the state machine `apimeter.scan` used before it moved to a single
-compiled pattern. It is kept only so the differential tests can check the
-tokenizer against it; nothing outside `tests/` imports it.
+compiled pattern, and the per-line loop of its `paper_faithful` comment
+rule from before that rule became one substitution. Both are kept only so
+the differential tests can check the scanner against them; nothing outside
+`tests/` imports this module.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ STRING = "string"
 
 _IDENT_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
 _RAW_DELIM = re.compile(r"[^()\\\s]{0,16}")
+# A line holding a comment marker, or starting with one whitespace and '*'.
+_LINE_DROP = re.compile(r"//|/\*|^\s\*")
 
 
 def _lex_regions(text: str) -> Iterator[tuple[str, int, int]]:
@@ -124,3 +128,11 @@ def strip_comments(source: str, diag: Diagnostics | None = None) -> str:
 def mask_string_literals(source: str) -> str:
     spans = [(s, e) for kind, s, e in _lex_regions(source) if kind == STRING]
     return _blank(source, spans)
+
+
+def strip_comment_lines(source: str) -> str:
+    """Empty every line that `_LINE_DROP` finds, one search per line; the newlines stay."""
+    out = []
+    for line in source.split("\n"):
+        out.append("" if _LINE_DROP.search(line) else line)
+    return "\n".join(out)

@@ -2,10 +2,11 @@
 
 This is the matcher `apimeter.scan` used before it moved to one compiled
 pattern run from each '(' over the reversed text. `scan_sources` is the
-scanner's aggregation loop of that time, on top of the same lexing
-functions the scanner still uses. Both are kept only so the differential
-tests can check the matcher against them; nothing outside `tests/` imports
-this module.
+scanner's aggregation loop of that time, on top of the scanner's
+`blank_comments_and_strings` and the frozen per-line `strip_comment_lines`
+of `reference_lexer`. Both are kept only so the differential tests can
+check the matcher against them; nothing outside `tests/` imports this
+module.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import re
 from typing import Iterable, Iterator
 
 from apimeter.diagnostics import Diagnostics
-from apimeter.scan import ScanOptions, UseSite, blank_comments_and_strings, strip_comment_lines
+from apimeter.scan import ScanOptions, UseSite, blank_comments_and_strings
+from reference_lexer import strip_comment_lines
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # One optional whitespace between name and '(' — never a newline, matching
