@@ -848,6 +848,23 @@ def test_scan_artifacts_match_golden_files(workspace, sites, jobs):
         assert (out / name).read_bytes() == (expected_dir / name).read_bytes(), name
 
 
+def test_paper_faithful_scan_artifacts_match_golden_files(workspace):
+    cfg, out = workspace
+    main(["catalog", "--config", str(cfg)])
+    expected_dir = GOLDEN / "expected_scan_paper"
+    for flags in (["--jobs", "1"], ["--jobs", "2"], ["--jobs", "2", "--sites"]):
+        run_dir = out / "_".join(flags)
+        run_dir.mkdir()
+        (run_dir / "catalog_tinykv.json").write_bytes((out / "catalog_tinykv.json").read_bytes())
+        argv = ["scan", "--config", str(cfg), "--library", "tinykv", "--output", str(run_dir), "--paper-faithful"]
+        assert main(argv + flags) == 0
+        sites = "--sites" in flags
+        expected = sorted(p.name for p in expected_dir.iterdir() if sites or not p.name.endswith(".sites.txt"))
+        assert sorted(p.name for p in run_dir.glob("*") if p.name.startswith(("prep_", "usage_"))) == expected
+        for name in expected:
+            assert (run_dir / name).read_bytes() == (expected_dir / name).read_bytes(), (flags, name)
+
+
 def test_eval_identity_all_ones(tmp_path):
     results = {"schema_version": "1.0", "clients": {"c1": {"a": 3, "b": 1}}}
     tool = tmp_path / "tool.json"
