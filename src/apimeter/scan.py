@@ -23,9 +23,10 @@ from .clientprep import ClientRecord
 from .diagnostics import SILENT, Diagnostics
 
 # Line-oriented comment exclusion for evaluation parity with purely
-# regex-based pipelines: any line containing a comment marker, or starting
-# with one whitespace and '*', is dropped wholesale.
-_LINE_DROP = re.compile(r"//|/\*|^\s\*")
+# regex-based pipelines: a line is emptied, its newline kept, if it holds
+# '//' or '/*' anywhere (inside a literal too), or if it starts with one
+# whitespace character other than a newline and then '*'.
+_LINE_DROP = re.compile(r"(?m)^(?:[^\n]*(?://|/\*)[^\n]*|[^\S\n]\*[^\n]*)$")
 
 
 class UseSite(NamedTuple):
@@ -119,15 +120,12 @@ _END = "\n\nx"
 
 
 def strip_comment_lines(source: str) -> str:
-    """Line-regex comment exclusion: blank whole lines that look commented.
+    """Line-regex comment exclusion: empty whole lines that look commented.
 
     Loses calls sharing a line with a comment; kept behind the
     paper_faithful flag for comparing against regex-only pipelines.
     """
-    out = []
-    for line in source.split("\n"):
-        out.append("" if _LINE_DROP.search(line) else line)
-    return "\n".join(out)
+    return _LINE_DROP.sub("", source)
 
 
 # --- call-site matching -------------------------------------------------------
@@ -187,20 +185,17 @@ def scan_sources(
     sites: list[UseSite] = []
     for rel_path, text in files:
         if options.paper_faithful:
-            # No comment survives strip_comment_lines, so this blanks literals only.
-            prepared = blank_comments_and_strings(strip_comment_lines(text))
-        elif options.collect_sites:
+            text = strip_comment_lines(text)  # leaves no '/*', so no open block comment below
+        if options.collect_sites:
             prepared = blank_comments_and_strings(text, diag)
+            found_sites = _call_sites(prepared, reversed_names, pattern)
+            sites += [UseSite(rel_path, line, api) for api, line in found_sites]
         else:
             # Counts need no widths or newlines. Two spaces never let a strict match span a
             # token: the only one-character tokens are a lone quote before a newline or at the end.
             prepared = _TOKEN.sub("  ", text + _END)
             if prepared[-1] != "x":  # the last token may be an open block comment: lex for its event
                 prepared = blank_comments_and_strings(text, diag)
-        if options.collect_sites:
-            found_sites = _call_sites(prepared, reversed_names, pattern)
-            sites += [UseSite(rel_path, line, api) for api, line in found_sites]
-        else:
             found.update(filter(reversed_names.__contains__, pattern.findall(prepared[::-1])))
     if options.collect_sites:
         uses = dict(Counter(site.api for site in sites))
