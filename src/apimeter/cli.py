@@ -12,6 +12,7 @@ stage shares (artifacts, catalog, diagnostics, errors).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import stat
@@ -300,25 +301,14 @@ def cmd_catalog(config: RunConfig, args: argparse.Namespace, diag: Diagnostics) 
     return 0
 
 
-# What every client of one `scan` run shares (spec, inventory, catalog,
-# config, collect_sites). `_init_worker` sets it once, in the stage's own
-# process, before any `--jobs` worker is forked; each worker inherits it. So
-# each client needs just its (entry, root).
-_worker_context: tuple = ()
-
-
-def _init_worker(*context) -> None:
-    global _worker_context
-    _worker_context = context
-
-
-def _scan_one(entry: DependencyEntry, root: Path) -> tuple[dict, UsageReport, list[dict]]:
+def _scan_one(context: tuple, entry: DependencyEntry, root: Path) -> tuple[dict, UsageReport, list[dict]]:
     """Prepare and scan one client: its prep artifact, usage report and
     diagnostics as events, which the caller replays in client order,
-    whichever process ran it."""
+    whichever process ran it. `context` is what every client of the run
+    shares: (spec, inventory, catalog, config, collect_sites)."""
     from . import clientprep, scan  # loaded by cmd_scan before any worker starts
 
-    spec, inv, catalog, config, collect_sites = _worker_context
+    spec, inv, catalog, config, collect_sites = context
     diag = Diagnostics()
     rec = clientprep.prepare_client(
         entry.client,
@@ -333,15 +323,15 @@ def _scan_one(entry: DependencyEntry, root: Path) -> tuple[dict, UsageReport, li
     return clientprep.prep_report_dict(rec), report, diag.events
 
 
-def _send_results(jobs: list[tuple[DependencyEntry, Path]], write_fd: int) -> None:
-    """In a forked worker: scan `jobs` in order and write each `_scan_one` result, or the
+def _send_results(scan_one: Callable[..., tuple], jobs: list[tuple[DependencyEntry, Path]], write_fd: int) -> None:
+    """In a forked worker: scan `jobs` in order and write each `scan_one` result, or the
     exception it raised, to `write_fd` as a length-prefixed pickle. An exception is the last."""
     import pickle
 
     with os.fdopen(write_fd, "wb") as out:
         for entry, root in jobs:
             try:
-                result = (True, _scan_one(entry, root))
+                result = (True, scan_one(entry, root))
             except Exception as exc:
                 result = (False, exc)
             blob = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
@@ -353,9 +343,12 @@ def _send_results(jobs: list[tuple[DependencyEntry, Path]], write_fd: int) -> No
 
 
 def _scan_in_workers(
-    jobs: list[tuple[DependencyEntry, Path]], workers: int, keep: Callable[..., UsageReport]
+    scan_one: Callable[..., tuple],
+    jobs: list[tuple[DependencyEntry, Path]],
+    workers: int,
+    keep: Callable[..., UsageReport],
 ) -> list[UsageReport]:
-    """`keep(*result)` for each client's `_scan_one` result, in client order, scanned by
+    """`keep(*result)` for each client's `scan_one` result, in client order, scanned by
     `workers` processes forked here. Worker w scans clients w, w + workers, ... and sends
     each result down its own pipe; it blocks while the pipe is full, so this process holds
     at most one result per worker. A worker's exception is raised at its client's turn.
@@ -383,7 +376,7 @@ def _scan_in_workers(
                     os.close(read_fd)
                     for _, pipe in children:
                         pipe.close()
-                    _send_results(jobs[w::workers], write_fd)
+                    _send_results(scan_one, jobs[w::workers], write_fd)
                     status = 0
                 finally:
                     os._exit(status)
@@ -450,13 +443,13 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace, diag: Diagnostics) -> 
             artifacts.write_text(out_dir / f"usage_{stem}.sites.txt", listing)
         return report._replace(sites=None)
 
-    _init_worker(spec, inv, catalog, config, args.sites)
+    scan_one = functools.partial(_scan_one, (spec, inv, catalog, config, args.sites))
     # Every worker is forked at once with a fixed share of the clients, so never more than there are clients.
     workers = min(config.jobs, len(jobs))
     if workers > 1:
-        usage = _scan_in_workers(jobs, workers, keep)
+        usage = _scan_in_workers(scan_one, jobs, workers, keep)
     else:
-        usage = [keep(*_scan_one(entry, root)) for entry, root in jobs]
+        usage = [keep(*scan_one(entry, root)) for entry, root in jobs]
 
     agg = scan.aggregate_reports(library, len(catalog.apis), usage)
     artifacts.write_json(corpus_path(config, library), corpus_dict(agg, skipped))

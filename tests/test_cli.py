@@ -566,10 +566,10 @@ def _scan_failing_on(monkeypatch, client: str, fail) -> None:
     """Make `_scan_one` call `fail()` instead of scanning `client`; forked workers inherit the patch."""
     real = cli._scan_one
 
-    def scan_one(entry, root):
+    def scan_one(context, entry, root):
         if entry.client == client:
             fail()
-        return real(entry, root)
+        return real(context, entry, root)
 
     monkeypatch.setattr(cli, "_scan_one", scan_one)
 
