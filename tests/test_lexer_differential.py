@@ -1,11 +1,14 @@
 """The scanner's one-pass tokenizer against the frozen per-character lexer.
 
-Both uses of `blank_comments_and_strings` are compared on the same text.
-The `paper_faithful` path passes it `strip_comment_lines` output, where no
-comment survives, so on that text it must equal the reference's
-`mask_string_literals`. The default path passes the whole text, and must
-equal stripping comments and then masking strings in the stripped text,
-diagnostics included.
+`blank_comments_and_strings` is compared on two texts. On
+`strip_comment_lines` output, the text the `paper_faithful` path lexes,
+no comment survives, so it must equal the reference's
+`mask_string_literals`. On the whole text it must equal stripping comments
+and then masking strings in the stripped text, diagnostics included. The
+scanner blanks either text this way under `collect_sites`; its counts path
+blanks them with the same tokenizer, two spaces a token, and
+`test_matcher_differential.py` compares that path's uses with the
+reference.
 """
 
 import pytest
