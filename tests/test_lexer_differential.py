@@ -87,6 +87,27 @@ EDGE_CASES = [
     '/* "a */ "b" */ f();',
     "// \"quoted\nf();",
     "/* 'q */ f(); /* ' */",
+    # end of text: open block comments, open raw strings and trailing backslashes, as in the
+    # counts-path cases of test_matcher_differential.py
+    "tk_open(a); /*/",
+    "tk_open(a); /* tk_close(b);\n",
+    "/* a */ tk_open(b); /*/ tk_close(c);",
+    "/**/ tk_open(b); /*/",
+    "*/ tk_open(b); /*",
+    "/*/ */ tk_open(b); /*",
+    'tk_open(a); R"d(tk_close(b);',
+    'tk_open(a); R"d(tk_close(b); /*',
+    "tk_open(a); // x \\",
+    'tk_open(a); "x\\',
+    "tk_open(a); 'x\\",
+    "tk_open(a); \\",
+    "tk_open",
+    "tk_open \n",
+    "/*",
+    "/**",
+    "/* a */",
+    "x /**/",
+    'f(); R"(',
     # empty and degenerate
     "",
     "/",

@@ -203,6 +203,12 @@ COUNTS_EDGE_CASES = [
     "tk_open(a); \\",
     "tk_open",
     "tk_open \n",
+    "",
+    "/*",
+    "/**",
+    "/* a */",
+    "x /**/",
+    'f(); R"(',
     # line comments at the end of the text and continued by a backslash
     "tk_open(a); // tk_close(b)",
     "tk_open(a); //",
