@@ -70,9 +70,12 @@ class CorpusAggregate(NamedTuple):
 
 # One token is a comment or a string/char literal; everything between tokens
 # is code. Every alternative starts with a literal '/', '"' or "'", so the
-# regex engine skips plain code by its first character.
+# regex engine skips plain code by its first character. The alternatives sit
+# in one outer group, and a new one goes inside it: `split` then gives code, a
+# token and its inner groups, code, ..., so a token every _STRIDE parts.
 _TOKEN = re.compile(
     r"""
+    (
     //[^\n\\]*(?:\\+[^\\][^\n\\]*)*\\*          # line comment; backslashes before a newline continue it
   | /\*[^*]*(?:\*+[^*/][^*]*)*(?:\*+/?)?        # block comment; an unterminated one runs to end of text
   | "(?:(?<=R")(?<![A-Za-z0-9_]R")              # raw string: R, [uUL]R or u8R starting a token,
@@ -81,15 +84,28 @@ _TOKEN = re.compile(
     (?P<d>[^()\\\s]{0,16})\((?:.*?\)(?P=d)"|.*) # then d(...)d; an unclosed one runs to end of text
   | "[^"\\\n]*(?:\\.[^"\\\n]*)*(?:"|\\)?        # string literal; an unescaped newline ends it
   | '[^'\\\n]*(?:\\.[^'\\\n]*)*(?:'|\\)?        # char literal, likewise
+    )
     """,
     re.S | re.X,
 )
+_STRIDE = _TOKEN.groups + 1
 
 
 def _spaces(token: str) -> str:
     if "\n" not in token:
         return " " * len(token)
     return "\n".join(" " * len(line) for line in token.split("\n"))
+
+
+def _lex(source: str, diag: Diagnostics) -> list[str | None]:
+    """Split `source` once: code, a token and its inner groups, code, and so on.
+
+    An open block comment runs to the end, so only the last token can be one."""
+    parts = _TOKEN.split(source)
+    last = parts[-_STRIDE] if len(parts) > 1 else ""
+    if last.startswith("/*") and (len(last) < 4 or not last.endswith("*/")):
+        diag.emit("unterminated_block_comment", at_line=source.count("\n", 0, len(source) - len(last)) + 1)
+    return parts
 
 
 def blank_comments_and_strings(source: str, diag: Diagnostics = SILENT) -> str:
@@ -100,23 +116,11 @@ def blank_comments_and_strings(source: str, diag: Diagnostics = SILENT) -> str:
     unterminated block comment blanks through end of text and emits a
     diagnostic.
     """
-
-    def blank(m: re.Match) -> str:
-        token = m.group()
-        if token[0] != "/":
-            return _spaces(token)
-        if token[1] == "*" and (len(token) < 4 or not token.endswith("*/")):
-            diag.emit("unterminated_block_comment", at_line=source.count("\n", 0, m.start()) + 1)
-        return _spaces(token)
-
-    return _TOKEN.sub(blank, source)
-
-
-# Appended to a text before counts-path blanking. An open block comment or
-# raw string runs to the end and swallows it; after any other last token its
-# final "x" is left as code (a trailing backslash carries a line comment or a
-# literal over one newline, never two). It adds no call.
-_END = "\n\nx"
+    parts = _lex(source, diag)
+    parts[1::_STRIDE] = map(_spaces, parts[1::_STRIDE])
+    for group in range(2, _STRIDE):  # an inner group, such as a raw string's delimiter, is in its token
+        parts[group::_STRIDE] = [""] * (len(parts) // _STRIDE)
+    return "".join(parts)
 
 
 def strip_comment_lines(source: str) -> str:
@@ -144,7 +148,7 @@ _LOOSE_CALL = re.compile(r"\([ \t\f\v\r\n]*([A-Za-z0-9_]*[A-Za-z_])[0-9]*(?![A-Z
 def _call_sites(
     text: str, reversed_names: set[str] | frozenset[str], pattern: re.Pattern
 ) -> list[tuple[str, int]]:
-    """(api, line) of every call of a catalog API, in text order.
+    """(reversed api, line) of every call of a catalog API, in text order.
 
     `text` must already be comment-stripped and string-masked;
     `reversed_names` holds each API name spelled backwards."""
@@ -157,7 +161,7 @@ def _call_sites(
             end = m.end(1)
             line -= rev.count("\n", counted, end)
             counted = end
-            found.append((name[::-1], line))
+            found.append((name, line))
     found.reverse()
     return found
 
@@ -187,21 +191,15 @@ def scan_sources(
         if options.paper_faithful:
             text = strip_comment_lines(text)  # leaves no '/*', so no open block comment below
         if options.collect_sites:
-            prepared = blank_comments_and_strings(text, diag)
-            found_sites = _call_sites(prepared, reversed_names, pattern)
-            sites += [UseSite(rel_path, line, api) for api, line in found_sites]
+            for name, line in _call_sites(blank_comments_and_strings(text, diag), reversed_names, pattern):
+                found[name] += 1
+                sites.append(UseSite(rel_path, line, name[::-1]))
         else:
             # Counts need no widths or newlines. Two spaces never let a strict match span a
             # token: the only one-character tokens are a lone quote before a newline or at the end.
-            prepared = _TOKEN.sub("  ", text + _END)
-            if prepared[-1] != "x":  # the last token may be an open block comment: lex for its event
-                prepared = blank_comments_and_strings(text, diag)
-            found.update(filter(reversed_names.__contains__, pattern.findall(prepared[::-1])))
-    if options.collect_sites:
-        uses = dict(Counter(site.api for site in sites))
-    else:
-        uses = {name[::-1]: n for name, n in found.items()}
-    return uses, sorted(sites)
+            rev = "  ".join(_lex(text, diag)[::_STRIDE])[::-1]
+            found.update(filter(reversed_names.__contains__, pattern.findall(rev)))
+    return {name[::-1]: n for name, n in found.items()}, sorted(sites)
 
 
 def iter_client_sources(

@@ -4,11 +4,11 @@
 `strip_comment_lines` output, the text the `paper_faithful` path lexes,
 no comment survives, so it must equal the reference's
 `mask_string_literals`. On the whole text it must equal stripping comments
-and then masking strings in the stripped text, diagnostics included. The
-scanner blanks either text this way under `collect_sites`; its counts path
-blanks them with the same tokenizer, two spaces a token, and
-`test_matcher_differential.py` compares that path's uses with the
-reference.
+and then masking strings in the stripped text, diagnostics included. Both
+blankings come from one tokenizer split of each file: under `collect_sites`
+the scanner widens each token to spaces and newlines as here; its counts
+path joins the code parts with two spaces, and `test_matcher_differential.py`
+compares that path's uses and events with the reference.
 """
 
 import pytest
