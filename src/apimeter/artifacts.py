@@ -51,6 +51,8 @@ class Field(NamedTuple):  # what one key of a JSON object must hold; a table map
     ok: Callable[[Any], bool] = lambda v: True  # its bounds, or the type of its items
 
 
+COUNT = Field(int, ..., "a non-negative integer", is_count)  # a required count
+
 SHOWN_CHARS = 200  # of a wrong value's repr an error shows; a longer one is cut, with its length
 
 

@@ -21,10 +21,10 @@ from types import MappingProxyType
 from typing import Any, NamedTuple
 
 from . import artifacts
-from .artifacts import Field, checked, is_count
+from .artifacts import COUNT, Field, _shown, checked
 from .diagnostics import SILENT, Diagnostics
 from .elf import exported_text_symbols
-from .errors import EmptyCatalogError, EmptyHeaderSetError, InputFileError
+from .errors import ConfigError, EmptyCatalogError, EmptyHeaderSetError, InputFileError
 
 HEADER_EXTENSIONS = {".h", ".hh", ".hpp", ".hxx"}
 SOURCE_EXTENSIONS = {".c", ".cc", ".cpp", ".cxx"} | HEADER_EXTENSIONS
@@ -203,14 +203,29 @@ def harvest_header_identifiers(header_root: str | Path) -> set[str]:
     return identifiers
 
 
+def _creation_time() -> str:
+    """The UTC time a catalog is stamped with, in ISO format: `SOURCE_DATE_EPOCH`
+    when it is set, so a rebuild can be byte-identical, else now."""
+    import datetime  # only the catalog stage stamps a time; other stages skip loading it
+
+    epoch = os.environ.get("SOURCE_DATE_EPOCH")
+    if epoch is None:
+        return datetime.datetime.now(datetime.timezone.utc).isoformat()
+    if re.fullmatch(r"-?[0-9]{1,20}", epoch):  # 20 digits run far past datetime's last year
+        try:
+            return datetime.datetime.fromtimestamp(int(epoch), datetime.timezone.utc).isoformat()
+        except (ValueError, OverflowError, OSError):  # out of datetime's range
+            pass
+    raise ConfigError(f"SOURCE_DATE_EPOCH must be an integer count of seconds that a date can hold: {_shown(epoch)}")
+
+
 def build_catalog(spec: LibrarySpec, diag: Diagnostics = SILENT) -> ApiCatalog:
     """Intersect exported symbols across shared objects with header tokens.
 
     Symbols exported by several shared objects are kept once; per-object
     attribution is dropped.
     """
-    import datetime  # only the catalog stage stamps a time; other stages skip loading it
-
+    created_at = _creation_time()
     exported: set[str] = set()
     for so in spec.shared_objects:
         exported |= exported_text_symbols(so)
@@ -231,7 +246,7 @@ def build_catalog(spec: LibrarySpec, diag: Diagnostics = SILENT) -> ApiCatalog:
     return ApiCatalog(
         library=spec.name,
         apis={name: ApiSymbol(name=name) for name in sorted(api_names)},
-        created_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        created_at=created_at,
         provenance={
             "shared_objects": [str(p) for p in spec.shared_objects],
             "header_root": str(spec.header_root),
@@ -260,7 +275,7 @@ _CATALOG = {
 _API = {
     "name": Field(str, None, "a string"),
     "defining_file": Field(str, None, "a string"),
-    **dict.fromkeys(ApiSymbol._fields[2:], Field(int, None, "a non-negative integer", is_count)),
+    **dict.fromkeys(ApiSymbol._fields[2:], COUNT._replace(default=None)),
 }
 _NEEDED = {key: f._replace(default=..., requirement=f.requirement + ", as another annotation field is set" * (key != "name"))
            for key, f in _API.items()}

@@ -6,22 +6,22 @@ fatal errors do.
 
 Each stage runs as its own process, so a command imports the stage modules
 it needs when it starts; at module scope this file loads only what every
-stage shares (artifacts, catalog, diagnostics, errors).
+stage shares (artifacts, catalog, diagnostics, errors). The body of `scan`
+lives in `scanstage`, which only that command imports.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import re
 import stat
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Callable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import artifacts
-from .artifacts import Field, are_strings, checked, is_count
+from .artifacts import COUNT, Field, are_strings, checked
 from .catalog import (
     DEFAULT_FILE_CAP_BYTES,
     DEFAULT_MIN_LIB_FILES,
@@ -40,11 +40,10 @@ from .errors import (
     InputFileError,
     MalformedDirectiveError,
     MissingInputsError,
-    ScanWorkerError,
 )
 
 if TYPE_CHECKING:
-    from .scan import CorpusAggregate, ScanOptions, UsageReport
+    from .scan import ScanOptions
 
 
 class DependencyEntry(NamedTuple):
@@ -211,62 +210,10 @@ def _stage_input(path: Path, stage: str) -> Path:
     return path
 
 
-def usage_report_dict(report: UsageReport) -> dict:
-    return {
-        "schema_version": artifacts.SCHEMA_VERSION,
-        "client": report.client_id,
-        "library": report.library,
-        "uses": dict(sorted(report.uses.items())),
-        "distinct": report.distinct_count,
-        "utilisation_pct": report.utilisation_pct,
-        "catalog_size": report.catalog_size,
-    }
-
-
-def corpus_dict(agg: CorpusAggregate, skipped: list[str]) -> dict:
-    return {
-        "schema_version": artifacts.SCHEMA_VERSION,
-        "library": agg.library,
-        "catalog_size": agg.catalog_size,
-        "clients": [usage_report_dict(r) for r in agg.reports],
-        "api_client_counts": dict(sorted(agg.api_client_counts.items())),
-        "api_total_uses": dict(sorted(agg.api_total_uses.items())),
-        "clients_without_uses": sorted(agg.clients_without_uses),
-        "skipped_clients": sorted(skipped),
-    }
-
-
-_COUNT = Field(int, ..., "a non-negative integer", is_count)
-_CORPUS = {"library": Field(str, ..., "a string"), "catalog_size": _COUNT, "clients": Field(list, ..., "a list")}
-# Each of a corpus's `clients`; its `catalog_size` defaults to the corpus's.
-_CLIENT = {
-    "client": Field(str, ..., "a string"),
-    "uses": Field(dict, ..., "an object of non-negative integers", lambda v: all(map(is_count, v.values()))),
-}
-
-
-def corpus_from_dict(doc: dict) -> CorpusAggregate:
-    from .scan import UsageReport, aggregate_reports
-
-    artifacts.check_schema_version(doc)
-    top = checked(doc, _CORPUS)
-    client_fields = {**_CLIENT, "catalog_size": _COUNT._replace(default=top["catalog_size"])}
-    by_client: dict[str, UsageReport] = {}
-    for i, c in enumerate(top["clients"]):
-        c = checked(c, client_fields, scope=f"clients[{i}]")
-        # Counted twice, a client would raise its APIs' client counts past the number of clients.
-        if c["client"] in by_client:
-            raise TypeError(f"clients[{i}].client must be unique: {c['client']!r}")
-        by_client[c["client"]] = UsageReport(
-            client_id=c["client"], library=top["library"], uses=dict(c["uses"]), catalog_size=c["catalog_size"]
-        )
-    return aggregate_reports(top["library"], top["catalog_size"], list(by_client.values()))
-
-
 _IMPROVEMENT = {
     "extra_total_coverage_pct": Field((int, float), ..., "a number"),
     **dict.fromkeys(("newly_covered_apis", "improved_apis"), Field(list, ..., "a list of strings", are_strings)),
-    "new_api_lines_covered": _COUNT,
+    "new_api_lines_covered": COUNT,
 }
 
 
@@ -301,164 +248,10 @@ def cmd_catalog(config: RunConfig, args: argparse.Namespace, diag: Diagnostics) 
     return 0
 
 
-def _scan_one(context: tuple, entry: DependencyEntry, root: Path) -> tuple[dict, UsageReport, list[dict]]:
-    """Prepare and scan one client: its prep artifact, usage report and
-    diagnostics as events, which the caller replays in client order,
-    whichever process ran it. `context` is what every client of the run
-    shares: (spec, inventory, catalog, config, collect_sites)."""
-    from . import clientprep, scan  # loaded by cmd_scan before any worker starts
-
-    spec, inv, catalog, config, collect_sites = context
-    diag = Diagnostics()
-    rec = clientprep.prepare_client(
-        entry.client,
-        root,
-        spec,
-        inv,
-        threshold=config.overlap_threshold,
-        min_lib_files=config.min_lib_files,
-        diag=diag,
-    )
-    report = scan.scan_client(rec, catalog, config.scan_options(collect_sites), diag)
-    return clientprep.prep_report_dict(rec), report, diag.events
-
-
-def _send_results(scan_one: Callable[..., tuple], jobs: list[tuple[DependencyEntry, Path]], write_fd: int) -> None:
-    """In a forked worker: scan `jobs` in order and write each `scan_one` result, or the
-    exception it raised, to `write_fd` as a length-prefixed pickle. An exception is the last."""
-    import pickle
-
-    with os.fdopen(write_fd, "wb") as out:
-        for entry, root in jobs:
-            try:
-                result = (True, scan_one(entry, root))
-            except Exception as exc:
-                result = (False, exc)
-            blob = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-            out.write(len(blob).to_bytes(8, "little"))
-            out.write(blob)
-            out.flush()
-            if not result[0]:
-                return
-
-
-def _scan_in_workers(
-    scan_one: Callable[..., tuple],
-    jobs: list[tuple[DependencyEntry, Path]],
-    workers: int,
-    keep: Callable[..., UsageReport],
-) -> list[UsageReport]:
-    """`keep(*result)` for each client's `scan_one` result, in client order, scanned by
-    `workers` processes forked here. Worker w scans clients w, w + workers, ... and sends
-    each result down its own pipe; it blocks while the pipe is full, so this process holds
-    at most one result per worker. A worker's exception is raised at its client's turn.
-    Every worker is killed and reaped on the way out, whatever the way. Forking is safe
-    because the stage starts no thread."""
-    import pickle
-    import signal
-
-    children: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe)
-    try:
-        for w in range(workers):
-            try:
-                read_fd, write_fd = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:
-                    os.close(read_fd)
-                    os.close(write_fd)
-                    raise
-            except OSError as exc:
-                raise ScanWorkerError(f"cannot start scan worker {w + 1} of {workers}: {exc}") from exc
-            if pid == 0:  # the worker: it never returns from here
-                status = 1
-                try:
-                    os.close(read_fd)
-                    for _, pipe in children:
-                        pipe.close()
-                    _send_results(scan_one, jobs[w::workers], write_fd)
-                    status = 0
-                finally:
-                    os._exit(status)
-            children.append((pid, os.fdopen(read_fd, "rb")))
-            os.close(write_fd)
-        usage = []
-        for i, (entry, _) in enumerate(jobs):
-            pid, pipe = children[i % workers]
-            size = int.from_bytes(pipe.read(8), "little")
-            blob = pipe.read(size)
-            if not blob or len(blob) < size:
-                _, status = os.waitpid(pid, 0)
-                children.remove((pid, pipe))
-                pipe.close()
-                code = os.waitstatus_to_exitcode(status)
-                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-                raise ScanWorkerError(f"scan worker for client {entry.client!r} ended without its result ({how})")
-            ok, value = pickle.loads(blob)
-            if not ok:
-                raise value
-            usage.append(keep(*value))
-        return usage
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)  # a worker that has exited stays a zombie until reaped
-            os.waitpid(pid, 0)
-
-
 def cmd_scan(config: RunConfig, args: argparse.Namespace, diag: Diagnostics) -> int:
-    from . import clientprep, scan
+    from .scanstage import run_scan
 
-    library = args.library
-    if config.dependency_db is None or config.clients_root is None:
-        raise ConfigError("scan requires dependency_db and clients_root in the configuration")
-    catalog = load_catalog(_stage_input(catalog_path(config, library), "catalog"))
-    spec = config.spec_for(library)
-    inv = clientprep.build_library_inventory(spec.source_roots)
-    entries = [e for e in load_dependency_db(config.dependency_db) if e.library == library]
-
-    jobs: list[tuple[DependencyEntry, Path]] = []
-    skipped: list[str] = []
-    clients_root = Path(config.clients_root)
-    for entry in sorted(entries, key=lambda e: e.client):
-        root = clients_root / entry.client
-        if root.is_dir():
-            jobs.append((entry, root))
-        else:
-            skipped.append(entry.client)
-            diag.emit("client_missing", client=entry.client, expected=str(root))
-
-    out_dir = Path(config.output_dir)
-
-    def keep(prep: dict, report: UsageReport, events: list[dict]) -> UsageReport:
-        """Replay one client's events and write its artifacts as its result arrives. Returns the
-        report without its sites, which is all the corpus needs."""
-        for event in events:
-            diag.emit(**event)
-        stem = f"{_slug(library)}_{_slug(report.client_id)}"
-        artifacts.write_json(out_dir / f"prep_{stem}.json", prep)
-        artifacts.write_json(out_dir / f"usage_{stem}.json", usage_report_dict(report))
-        if report.sites is not None:
-            listing = "".join(f"{s.file}:{s.line}:{s.api}\n" for s in report.sites)
-            artifacts.write_text(out_dir / f"usage_{stem}.sites.txt", listing)
-        return report._replace(sites=None)
-
-    scan_one = functools.partial(_scan_one, (spec, inv, catalog, config, args.sites))
-    # Every worker is forked at once with a fixed share of the clients, so never more than there are clients.
-    workers = min(config.jobs, len(jobs))
-    if workers > 1:
-        usage = _scan_in_workers(scan_one, jobs, workers, keep)
-    else:
-        usage = [keep(*scan_one(entry, root)) for entry, root in jobs]
-
-    agg = scan.aggregate_reports(library, len(catalog.apis), usage)
-    artifacts.write_json(corpus_path(config, library), corpus_dict(agg, skipped))
-    print(
-        f"{library}: scanned {len(usage)} clients"
-        + (f", skipped {len(skipped)}" if skipped else "")
-        + f" -> {corpus_path(config, library)}"
-    )
-    return 0
+    return run_scan(config, args, diag)
 
 
 def cmd_coverage(config: RunConfig, args: argparse.Namespace, diag: Diagnostics) -> int:
@@ -510,6 +303,7 @@ def cmd_coverage(config: RunConfig, args: argparse.Namespace, diag: Diagnostics)
 
 def cmd_report(config: RunConfig, args: argparse.Namespace, diag: Diagnostics) -> int:
     from . import metrics, reports
+    from .usage import corpus_from_dict
 
     library = args.library
     cat_path = _stage_input(catalog_path(config, library), "catalog")
@@ -551,7 +345,7 @@ def _eval_results(doc: dict, path: str) -> dict[str, dict[str, int]]:
         checked({who: counts}, {who: _API_COUNTS}, where, error=InputFileError)
         for api, count in counts.items():
             # A JSON `true` is no count, and a negative one would turn up as a negative tp or recall.
-            checked({"count": count}, {"count": _COUNT}, f"{where}{who}, API {api!r}: ", error=InputFileError)
+            checked({"count": count}, {"count": COUNT}, f"{where}{who}, API {api!r}: ", error=InputFileError)
     return clients
 
 

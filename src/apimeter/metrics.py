@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 from .catalog import ApiCatalog
 
 if TYPE_CHECKING:
-    from .scan import CorpusAggregate
+    from .usage import CorpusAggregate
 
 SMALL_API_ELOC = 20  # size-bucket boundary
 
@@ -55,17 +55,27 @@ def client_utilisation_distribution(agg: CorpusAggregate) -> dict | None:
     None for a corpus of no clients, which has no distribution to report."""
     if not agg.reports:
         return None
-    values = sorted(r.utilisation_pct for r in agg.reports)
+    clients = [{"client": r.client_id, "utilisation_pct": r.utilisation_pct} for r in agg.reports]
+    values = sorted(c["utilisation_pct"] for c in clients)
     if len(values) == 1:
         q1 = med = q3 = values[0]
     else:
-        import statistics  # here, not at module top: `eval` loads this module but needs no quantiles
-        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        q1, med, q3 = _inclusive_quartiles(values)
     return {
         "library": agg.library,
-        "clients": [{"client": r.client_id, "utilisation_pct": r.utilisation_pct} for r in agg.reports],
+        "clients": clients,
         "summary": {"min": values[0], "q1": q1, "median": med, "q3": q3, "max": values[-1]},
     }
+
+
+def _inclusive_quartiles(v: list[float]) -> list[float]:
+    """`statistics.quantiles(v, n=4, method="inclusive")` of sorted `v`, two values at
+    least, by its own arithmetic, so results match to the bit without loading `statistics`."""
+    quartiles = []
+    for i in (1, 2, 3):
+        j, d = divmod(i * (len(v) - 1), 4)
+        quartiles.append((v[j] * (4 - d) + v[j + 1] * d) / 4)
+    return quartiles
 
 
 def use_distribution(agg: CorpusAggregate) -> list[dict]:

@@ -21,6 +21,8 @@ from typing import Iterable, Iterator, NamedTuple
 from .catalog import DEFAULT_FILE_CAP_BYTES, ApiCatalog, is_source_name, read_text, walk_tree
 from .clientprep import ClientRecord
 from .diagnostics import SILENT, Diagnostics
+# aggregate_reports is re-exported: callers reach it as scan.aggregate_reports.
+from .usage import UsageReport, aggregate_reports  # noqa: F401
 
 # Line-oriented comment exclusion for evaluation parity with purely
 # regex-based pipelines: a line is emptied, its newline kept, if it holds
@@ -33,37 +35,6 @@ class UseSite(NamedTuple):
     file: str
     line: int
     api: str
-
-
-class UsageReport(NamedTuple):
-    client_id: str
-    library: str
-    uses: dict[str, int]
-    catalog_size: int
-    sites: list[UseSite] | None = None
-
-    @property
-    def distinct_count(self) -> int:
-        return sum(1 for c in self.uses.values() if c > 0)
-
-    @property
-    def total_uses(self) -> int:
-        return sum(self.uses.values())
-
-    @property
-    def utilisation_pct(self) -> float:
-        if self.catalog_size == 0:
-            return 0.0
-        return 100.0 * self.distinct_count / self.catalog_size
-
-
-class CorpusAggregate(NamedTuple):
-    library: str
-    catalog_size: int
-    reports: list[UsageReport]
-    api_client_counts: dict[str, int]
-    api_total_uses: dict[str, int]
-    clients_without_uses: list[str]
 
 
 # --- comment / string lexing -------------------------------------------------
@@ -259,19 +230,3 @@ def scan_client(
         catalog_size=len(catalog.apis),
         sites=sites if options.collect_sites else None,
     )
-
-
-def aggregate_reports(library: str, catalog_size: int, reports: list[UsageReport]) -> CorpusAggregate:
-    """Fold per-client reports; commutative, so any merge order is valid."""
-    ordered = sorted(reports, key=lambda r: r.client_id)
-    client_counts: dict[str, int] = {}
-    total_uses: dict[str, int] = {}
-    without_uses = []
-    for report in ordered:
-        if report.distinct_count == 0:
-            without_uses.append(report.client_id)
-        for api, count in report.uses.items():
-            if count > 0:
-                client_counts[api] = client_counts.get(api, 0) + 1
-                total_uses[api] = total_uses.get(api, 0) + count
-    return CorpusAggregate(library, catalog_size, ordered, client_counts, total_uses, without_uses)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apimeter import cli
+from apimeter import cli, scanstage
 from apimeter.cli import load_dependency_db, main
 import apimeter
 from apimeter.errors import DependencyDbError, InputFileError
@@ -69,6 +69,40 @@ def test_catalog_rerun_identical_modulo_timestamp(workspace):
     first.pop("created_at")
     second.pop("created_at")
     assert first == second
+
+
+def test_catalog_reruns_are_byte_identical_with_source_date_epoch(workspace, monkeypatch):
+    cfg, out = workspace
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    runs = []
+    for _ in range(2):
+        assert main(["catalog", "--config", str(cfg)]) == 0
+        runs.append((out / "catalog_tinykv.json").read_bytes())
+    assert runs[1] == runs[0]
+    assert json.loads(runs[0])["created_at"] == "2023-11-14T22:13:20+00:00"
+
+
+def test_catalog_without_source_date_epoch_stamps_the_current_time(workspace, monkeypatch):
+    import datetime
+
+    cfg, out = workspace
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    before = datetime.datetime.now(datetime.timezone.utc)
+    assert main(["catalog", "--config", str(cfg)]) == 0
+    stamped = datetime.datetime.fromisoformat(json.loads((out / "catalog_tinykv.json").read_text())["created_at"])
+    assert before <= stamped <= datetime.datetime.now(datetime.timezone.utc)
+
+
+@pytest.mark.parametrize("value", ["", "now", "1.5", " 1700000000", "1_700_000_000", "0x10", "10" * 10, "9" * 5000])
+def test_catalog_refuses_a_bad_source_date_epoch(workspace, monkeypatch, capsys, value):
+    cfg, out = workspace
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
+    assert main(["catalog", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "error: SOURCE_DATE_EPOCH must be an integer count of seconds that a date can hold: " in err
+    assert '"error": "ConfigError"' in err
+    assert len(err) < 1000  # a long value is shown cut
+    assert not (out / "catalog_tinykv.json").exists()
 
 
 def test_catalog_of_undersized_symbol_entries_names_the_object(workspace, capsys):
@@ -516,6 +550,41 @@ def test_report_without_improvement_loads_no_coverage_module(workspace):
     assert "apimeter.coverage" not in loaded
 
 
+def test_report_process_loads_no_scan_module(workspace):
+    # The corpus is read back through `apimeter.usage`; the quartiles need no `statistics`.
+    cfg, _ = workspace
+    library = ["--config", str(cfg), "--library", "tinykv"]
+    assert main(["catalog", "--config", str(cfg)]) == 0
+    assert main(["scan", *library]) == 0
+    loaded = _modules_loaded_by(["report", *library])
+    assert {"apimeter.usage", "apimeter.metrics", "apimeter.reports"} <= loaded
+    assert loaded & {"apimeter.scan", "apimeter.clientprep", "apimeter.scanstage", "statistics"} == set()
+
+
+def test_scan_process_loads_no_report_module(workspace):
+    cfg, _ = workspace
+    assert main(["catalog", "--config", str(cfg)]) == 0
+    loaded = _modules_loaded_by(["scan", "--config", str(cfg), "--library", "tinykv", "--jobs", "2", "--sites"])
+    assert {"apimeter.scan", "apimeter.usage", "apimeter.scanstage"} <= loaded
+    assert loaded & {"apimeter.coverage", "apimeter.metrics", "apimeter.reports", "statistics"} == set()
+
+
+def test_only_the_scan_process_loads_the_scan_stage(workspace):
+    cfg, out = workspace
+    assert main(["catalog", "--config", str(cfg)]) == 0
+    assert main(["scan", "--config", str(cfg), "--library", "tinykv"]) == 0
+    trace = str(GOLDEN / "tracefile_library.info")
+    library = ["--config", str(cfg), "--library", "tinykv"]
+    evaluation = ["--tool", str(GOLDEN / "eval_tool.json"), "--oracle", str(GOLDEN / "eval_oracle.json")]
+    for commands in (
+        [["catalog", "--config", str(cfg)]],
+        [["coverage", *library, trace], ["coverage", *library, "--baseline", trace, "--augmented", trace]],
+        [["report", *library]],
+        [["eval", "--output", str(out / "eval"), *evaluation]],
+    ):
+        assert "apimeter.scanstage" not in _modules_loaded_by(*commands), commands
+
+
 def _assert_no_child_left() -> None:
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -564,14 +633,14 @@ def test_scan_jobs_capped_at_client_count(workspace, monkeypatch):
 
 def _scan_failing_on(monkeypatch, client: str, fail) -> None:
     """Make `_scan_one` call `fail()` instead of scanning `client`; forked workers inherit the patch."""
-    real = cli._scan_one
+    real = scanstage._scan_one
 
     def scan_one(context, entry, root):
         if entry.client == client:
             fail()
         return real(context, entry, root)
 
-    monkeypatch.setattr(cli, "_scan_one", scan_one)
+    monkeypatch.setattr(scanstage, "_scan_one", scan_one)
 
 
 def test_scan_error_in_worker_matches_serial(workspace, capsys, monkeypatch):
@@ -1505,7 +1574,7 @@ def test_unknown_library_is_fatal(workspace, capsys):
     )
 )
 def test_corpus_artifact_round_trip(client_uses):
-    from apimeter.cli import corpus_dict, corpus_from_dict
+    from apimeter.usage import corpus_dict, corpus_from_dict
     from apimeter.scan import UsageReport, aggregate_reports
 
     reports = [

@@ -1,3 +1,5 @@
+import statistics
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -105,6 +107,24 @@ def test_utilisation_median_of_three():
 def test_utilisation_empty_corpus_is_none():
     catalog = make_catalog(["a"])
     assert client_utilisation_distribution(_aggregate(catalog, {})) is None
+
+
+@given(
+    st.integers(min_value=1, max_value=400).flatmap(
+        lambda size: st.tuples(st.just(size), st.lists(st.integers(0, size), min_size=2, max_size=60))
+    )
+)
+def test_utilisation_quartiles_match_statistics(drawn):
+    # The quartiles are computed without `statistics`, by its own inclusive-method arithmetic:
+    # they must equal its results exactly, ties and small catalogs (many ties) included.
+    size, distinct = drawn
+    reports = [
+        UsageReport(client_id=f"c{i}", library="lib", uses={f"a{k}": 1 for k in range(d)}, catalog_size=size)
+        for i, d in enumerate(distinct)
+    ]
+    summary = client_utilisation_distribution(aggregate_reports("lib", size, reports))["summary"]
+    values = sorted(100.0 * d / size for d in distinct)
+    assert [summary["q1"], summary["median"], summary["q3"]] == statistics.quantiles(values, n=4, method="inclusive")
 
 
 def test_use_distribution_only_used_apis():
