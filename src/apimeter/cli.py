@@ -51,6 +51,11 @@ class DependencyEntry(NamedTuple):
     library: str
 
 
+def _stays_below_root(client: str) -> bool:
+    """Whether `clients_root / client` names a directory below the root, and neither the root nor one outside it."""
+    return client != "" and not Path(client).is_absolute() and {".", ".."}.isdisjoint(client.split("/"))
+
+
 # (object, key) -> Field for every key of a config file (top level "", `thresholds`, `flags`, each of `libraries`),
 # of a dependency-DB entry, and of `--jobs`, which no file sets. The command-line overrides reuse these rows.
 FIELDS: dict[tuple[str, str], Field] = {
@@ -71,7 +76,7 @@ FIELDS: dict[tuple[str, str], Field] = {
     ("library", "header_root"): Field(str, ..., "a string"),
     ("library", "source_roots"): Field(list, (), "a list of strings", are_strings),
     ("library", "explicit_file_excludes"): Field(list, (), "a list of strings", are_strings),
-    ("dependency", "client"): Field(str, ..., "a string"),
+    ("dependency", "client"): Field(str, ..., "a non-empty relative path with no . or .. component", _stays_below_root),
     ("dependency", "library"): Field(str, ..., "a string"),
     ("dependency", "source"): Field(str, None, "a string"),  # where the client comes from; not read
     ("command line", "jobs"): Field(int, 1, ">= 1", lambda v: v >= 1),

@@ -93,9 +93,18 @@ REPORTS = (
 )
 
 
+def _csv_field(value: object) -> str:
+    """`value` as one CSV field: as it is, or, if it holds a `,`, `"`, CR or LF, quoted with each `"`
+    doubled (RFC 4180), so that a client or library name cannot split or end its row."""
+    text = "" if value is None else str(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv(header: list[str], rows: list[dict]) -> str:
     lines = [",".join(header)]
-    lines += [",".join("" if row[h] is None else str(row[h]) for h in header) for row in rows]
+    lines += [",".join(_csv_field(row[h]) for h in header) for row in rows]
     return "\n".join(lines) + "\n"
 
 

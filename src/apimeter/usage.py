@@ -74,7 +74,7 @@ def usage_report_dict(report: UsageReport) -> dict:
         "schema_version": artifacts.SCHEMA_VERSION,
         "client": report.client_id,
         "library": report.library,
-        "uses": dict(sorted(report.uses.items())),
+        "uses": report.uses,
         "distinct": distinct,
         "utilisation_pct": _utilisation_pct(distinct, report.catalog_size),
         "catalog_size": report.catalog_size,
@@ -87,8 +87,8 @@ def corpus_dict(agg: CorpusAggregate, skipped: list[str]) -> dict:
         "library": agg.library,
         "catalog_size": agg.catalog_size,
         "clients": [usage_report_dict(r) for r in agg.reports],
-        "api_client_counts": dict(sorted(agg.api_client_counts.items())),
-        "api_total_uses": dict(sorted(agg.api_total_uses.items())),
+        "api_client_counts": agg.api_client_counts,
+        "api_total_uses": agg.api_total_uses,
         "clients_without_uses": sorted(agg.clients_without_uses),
         "skipped_clients": sorted(skipped),
     }

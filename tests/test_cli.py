@@ -3,6 +3,7 @@ import errno
 import json
 import os
 import re
+import shutil
 import signal
 import stat
 import subprocess
@@ -1410,6 +1411,42 @@ def test_dependency_db_allows_one_slug_across_libraries(tmp_path):
     db = tmp_path / "db.json"
     db.write_text(json.dumps([{"client": "x/y", "library": "a"}, {"client": "x_y", "library": "b"}]))
     assert [e.client for e in load_dependency_db(db)] == ["x/y", "x_y"]
+
+
+def _scan_with_clients(cfg, tmp_path, clients, clients_root=None):
+    db = tmp_path / "db.json"
+    db.write_text(json.dumps([{"client": c, "library": "tinykv"} for c in clients]))
+    doc = json.loads(cfg.read_text())
+    doc["dependency_db"] = str(db)
+    if clients_root is not None:
+        doc["clients_root"] = str(clients_root)
+    cfg.write_text(json.dumps(doc))
+    assert main(["catalog", "--config", str(cfg)]) == 0
+    return db, main(["scan", "--config", str(cfg), "--library", "tinykv"])
+
+
+@pytest.mark.parametrize(
+    "client", ["", ".", "..", "../x", "a/../b", "a/./b", pytest.param(str(GOLDEN / "clients" / "alpha"), id="absolute")]
+)
+def test_scan_refuses_a_client_id_that_names_the_clients_root_or_leaves_it(workspace, tmp_path, capsys, client):
+    cfg, out = workspace
+    db, status = _scan_with_clients(cfg, tmp_path, ["alpha", client])
+    err = capsys.readouterr().err
+    assert status == 1
+    assert "Traceback" not in err
+    assert f"error: dependency db {db}: entry 1.client must be a non-empty relative path" in err
+    assert repr(client) in err
+    assert not list(out.glob("prep_*")) and not list(out.glob("usage_*"))
+
+
+def test_scan_takes_a_nested_client_id_below_the_clients_root(workspace, tmp_path):
+    cfg, out = workspace
+    shutil.copytree(GOLDEN / "clients" / "alpha", tmp_path / "clients" / "x" / "y")
+    _, status = _scan_with_clients(cfg, tmp_path, ["x/y"], clients_root=tmp_path / "clients")
+    assert status == 0
+    usage = json.loads((out / "usage_tinykv_x_y.json").read_text())
+    expected = json.loads((GOLDEN / "expected_scan" / "usage_tinykv_alpha.json").read_text())
+    assert usage["uses"] == expected["uses"] and sum(usage["uses"].values()) > 0
 
 
 @pytest.mark.parametrize(

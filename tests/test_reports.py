@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -115,3 +116,28 @@ def test_unknown_table_keyword_raises_type_error_naming_it(tmp_path):
     with pytest.raises(TypeError, match="unexpected keyword argument 'usage'"):
         emit_reports(tmp_path, usage=[])
     assert not any(tmp_path.iterdir())
+
+
+def test_csv_fields_holding_separators_quotes_or_newlines_round_trip(tmp_path):
+    clients = ["a,b", 'q"x', "line\nbreak", "cr\rlf", "plain"]
+    catalog = make_catalog(["a", "b", "c"], library='lib,"1"')
+    reports = [
+        UsageReport(client_id=c, library=catalog.library, uses={"a": i % 3, "b": 1}, catalog_size=3)
+        for i, c in enumerate(clients)
+    ]
+    agg = aggregate_reports(catalog.library, len(catalog.apis), reports)
+    per_client = {c: precision_recall({"a": 1, "b": i}, {"a": 2}) for i, c in enumerate(clients)}
+    emit_reports(tmp_path, unused=[unused_apis(agg, catalog)], utilisation=client_utilisation_distribution(agg),
+                 evaluation=per_client)
+    for name, json_rows, columns in [
+        ("report_unused", lambda doc: doc["rows"], lambda r: [r["library"], r["total"], r["unused"], r["unused_pct"]]),
+        ("report_utilisation", lambda doc: doc["clients"], lambda r: [r["client"], r["utilisation_pct"]]),
+        ("report_eval", lambda doc: doc["clients"],
+         lambda r: [r["client"]] + ["" if r[m][k] is None else round(r[m][k], 2)
+                                    for m in ("distinct", "total") for k in ("precision", "recall")]),
+    ]:
+        with open(tmp_path / f"{name}.csv", newline="", encoding="utf-8") as f:
+            header, *rows = csv.reader(f)
+        assert all(len(row) == len(header) for row in rows)
+        expected = [[str(v) for v in columns(r)] for r in json_rows(json.loads((tmp_path / f"{name}.json").read_text()))]
+        assert rows == expected
