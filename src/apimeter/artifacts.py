@@ -17,7 +17,7 @@ import json
 import os
 import stat
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, TypeVar
+from typing import Any, Callable, NamedTuple, TextIO, TypeVar
 
 from .errors import ApimeterError, InputFileError, ReportIoError, SchemaVersionError
 
@@ -80,23 +80,30 @@ def checked(doc: Any, table: dict[str, Field], where="", scope="", error: type =
     return {key: doc.get(key, field.default) for key, field in table.items()}
 
 
-def write_text(path: str | Path, text: str) -> Path:
-    """Atomically replace `path` with `text` (UTF-8), creating its directory."""
+def write_text(path: str | Path, text: str | Callable[[TextIO], Any]) -> Path:
+    """Atomically replace `path` with `text` (UTF-8), or with what `text(file)` writes to the
+    open file, creating its directory."""
     out = Path(path)
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as file:
+            text(file) if callable(text) else file.write(text)
         os.replace(tmp, out)
     except OSError as exc:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
         raise ReportIoError(f"cannot write {out}: {exc}") from exc
+    finally:
+        with contextlib.suppress(OSError):  # gone once replaced
+            tmp.unlink()
     return out
 
 
 def write_json(path: str | Path, payload: dict) -> Path:
-    return write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    def dump(file: TextIO) -> None:  # streamed: json.dumps with an indent holds the whole document
+        json.dump(payload, file, indent=2, sort_keys=True)
+        file.write("\n")
+
+    return write_text(path, dump)
 
 
 def read_input(path: str | Path, encoding: str = "utf-8") -> str:

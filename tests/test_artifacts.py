@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,31 @@ def test_failed_replace_keeps_previous_artifact(tmp_path, monkeypatch):
         artifacts.write_json(path, {"schema_version": "1.0", "apis": ["a", "b"]})
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_failed_encode_keeps_previous_artifact_and_leaves_no_temporary_file(tmp_path):
+    path = tmp_path / "catalog.json"
+    artifacts.write_json(path, {"schema_version": "1.0", "apis": ["a"]})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        artifacts.write_json(path, {"schema_version": "1.0", "apis": ["a", object()]})
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_write_json_streams_the_document_instead_of_holding_it(tmp_path):
+    # The scan stage's corpus at thousands of clients runs to megabytes; holding its text
+    # (or json.dumps's list of chunks) would set the stage's peak memory.
+    payload = {"clients": [{"client": f"c{i}", "uses": {f"api_{j:03d}": j for j in range(20)}} for i in range(2500)]}
+    tracemalloc.start()
+    try:
+        path = artifacts.write_json(tmp_path / "corpus.json", payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 1_000_000
+    assert peak < size // 4, (peak, size)
 
 
 def test_write_json_bytes_and_directory(tmp_path):
