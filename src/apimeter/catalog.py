@@ -167,9 +167,6 @@ class ApiCatalog(NamedTuple):
     created_at: str = ""
     provenance: Mapping[str, Any] = MappingProxyType({})  # read-only, so every default shares it
 
-    def names(self) -> set[str]:
-        return set(self.apis)
-
     def annotated(self) -> list[ApiSymbol]:
         return [a for a in self.apis.values() if a.eloc is not None]
 

@@ -13,8 +13,7 @@ import re
 from collections import Counter
 from itertools import chain
 from pathlib import Path, PurePosixPath
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from . import artifacts
 from .catalog import (DEFAULT_MIN_LIB_FILES, DEFAULT_OVERLAP_THRESHOLD, LibrarySpec, WalkEntry, is_source_name,
@@ -27,15 +26,13 @@ _ANY_SECTION = re.compile(r"\[[^\]]*\]")
 
 
 class ClientRecord(NamedTuple):
-    """A client checkout plus everything scanning must skip."""
+    """A client checkout, everything scanning must skip, and the walk that found it."""
 
     client_id: str
     root: str
-    excluded_dirs: frozenset[str]
-    excluded_files: frozenset[str]
-    rules: Mapping[str, str] = MappingProxyType({})  # path -> rule; read-only, so every default shares it
-    # prepare_client's walk, reused by the scan; never saved. Without one, the scan walks.
-    listing: list[WalkEntry] | None = None
+    excluded_dirs: dict[str, str]  # path -> rule, "submodule" or "overlap"
+    excluded_files: frozenset[str]  # explicit excludes
+    listing: list[WalkEntry]  # prepare_client's walk, reused by the scan; never saved
 
 
 class LibraryInventory:
@@ -164,8 +161,7 @@ def prepare_client(
     if not root_path.is_dir():
         raise MissingRootError(f"client root does not exist: {root_path}")
 
-    rules: dict[str, str] = {}
-    excluded_dirs: set[str] = set()
+    excluded_dirs: dict[str, str] = {}
 
     manifest = root_path / ".gitmodules"
     if manifest.is_file():
@@ -175,39 +171,29 @@ def prepare_client(
             declared = ""
             diag.emit("file_unreadable", client=client_id, path=".gitmodules", error=str(exc))
         for sub in parse_submodule_manifest(declared, diag):
-            rel = PurePosixPath(sub).as_posix().rstrip("/")
-            if rel.startswith("/") or ".." in rel.split("/"):
+            if sub.startswith("/") or ".." in sub.split("/"):  # "/" included
                 diag.emit("submodule_outside_root", client=client_id, path=sub)
                 continue
-            excluded_dirs.add(rel)
-            rules[rel] = "submodule"
+            excluded_dirs[PurePosixPath(sub).as_posix()] = "submodule"  # drops "./" and trailing "/"
 
     listing = list(walk_tree(root_path, diag, client_id))
     for rel in select_vendored(_dir_names(listing), inv, threshold, min_lib_files):
-        if rel not in excluded_dirs:
-            excluded_dirs.add(rel)
-            rules[rel] = "overlap"
+        excluded_dirs.setdefault(rel, "overlap")
 
     wanted = set(spec.explicit_file_excludes)
-    for rel_dir, _, files, _ in listing:
-        for fname in wanted.intersection(files):
-            rules[fname if rel_dir == "." else f"{rel_dir}/{fname}"] = "explicit"
-    excluded_files = {rel for rel, rule in rules.items() if rule == "explicit"}
+    excluded_files = frozenset(fname if rel_dir == "." else f"{rel_dir}/{fname}"
+                               for rel_dir, _, files, _ in listing for fname in wanted.intersection(files))
 
     diag.emit("client_prepared", client=client_id, excluded_dirs=len(excluded_dirs),
               excluded_files=len(excluded_files))
-    return ClientRecord(client_id=client_id, root=str(root_path), excluded_dirs=frozenset(excluded_dirs),
-                        excluded_files=frozenset(excluded_files), rules=rules, listing=listing)
+    return ClientRecord(client_id=client_id, root=str(root_path), excluded_dirs=excluded_dirs,
+                        excluded_files=excluded_files, listing=listing)
 
 
 def prep_report_dict(rec: ClientRecord) -> dict:
     return {
         "schema_version": artifacts.SCHEMA_VERSION,
         "client": rec.client_id,
-        "excluded_dirs": [
-            {"path": p, "rule": rec.rules.get(p, "overlap")} for p in sorted(rec.excluded_dirs)
-        ],
-        "excluded_files": [
-            {"path": p, "rule": rec.rules.get(p, "explicit")} for p in sorted(rec.excluded_files)
-        ],
+        "excluded_dirs": [{"path": p, "rule": rec.excluded_dirs[p]} for p in sorted(rec.excluded_dirs)],
+        "excluded_files": [{"path": p, "rule": "explicit"} for p in sorted(rec.excluded_files)],
     }

@@ -18,7 +18,7 @@ import re
 from collections import Counter
 from typing import Iterable, Iterator, NamedTuple
 
-from .catalog import DEFAULT_FILE_CAP_BYTES, ApiCatalog, is_source_name, read_text, walk_tree
+from .catalog import DEFAULT_FILE_CAP_BYTES, ApiCatalog, is_source_name, read_text
 from .clientprep import ClientRecord
 from .diagnostics import SILENT, Diagnostics
 # aggregate_reports is re-exported: callers reach it as scan.aggregate_reports.
@@ -146,7 +146,7 @@ class ScanOptions(NamedTuple):
 
 def scan_sources(
     files: Iterable[tuple[str, str]],
-    api_names: frozenset[str] | set[str],
+    api_names: Iterable[str],
     options: ScanOptions = ScanOptions(),
     diag: Diagnostics = SILENT,
 ) -> tuple[dict[str, int], list[UseSite]]:
@@ -180,15 +180,13 @@ def iter_client_sources(
 ) -> Iterator[tuple[str, str]]:
     """Yield scannable (relative path, text) of a prepared checkout, in walk order.
 
-    Reads the listing `prepare_client` took; a record without one (built by
-    hand) is walked here. Excluded directories are pruned and excluded files
-    skipped as the walk reaches them, each with an event.
+    Reads the listing `prepare_client` took. Excluded directories are pruned
+    and excluded files skipped as the listing reaches them, each with an event.
     """
     if "." in rec.excluded_dirs:
         return
     pruned: set[str] = set()
-    listing = rec.listing if rec.listing is not None else walk_tree(rec.root, diag, rec.client_id)
-    for rel_dir, dirs, files, path in listing:
+    for rel_dir, dirs, files, path in rec.listing:
         sub = "" if rel_dir == "." else rel_dir + "/"
         if rel_dir in pruned:
             pruned.update(sub + d for d in dirs)
@@ -222,7 +220,7 @@ def scan_client(
     diag: Diagnostics = SILENT,
 ) -> UsageReport:
     """Scan every non-excluded C/C++ file of one client."""
-    uses, sites = scan_sources(iter_client_sources(rec, options, diag), catalog.names(), options, diag)
+    uses, sites = scan_sources(iter_client_sources(rec, options, diag), catalog.apis, options, diag)
     return UsageReport(
         client_id=rec.client_id,
         library=catalog.library,

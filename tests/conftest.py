@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 import elfsynth
-from apimeter.catalog import ApiCatalog, LibrarySpec, build_catalog
+from apimeter.catalog import ApiCatalog, LibrarySpec, build_catalog, walk_tree
+from apimeter.clientprep import ClientRecord
+from apimeter.diagnostics import SILENT
 from apimeter.scan import ScanOptions, scan_sources
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -58,6 +60,13 @@ def make_catalog(names, library="lib") -> ApiCatalog:
     from apimeter.catalog import ApiSymbol
 
     return ApiCatalog(library=library, apis={n: ApiSymbol(name=n) for n in names})
+
+
+def client_record(root, excluded_dirs=None, excluded_files=(), client_id="c") -> ClientRecord:
+    """A record of the checkout at `root` with these exclusions (path -> rule, and paths),
+    listed now as `prepare_client` lists it; build the tree first."""
+    return ClientRecord(client_id, str(root), dict(excluded_dirs or {}), frozenset(excluded_files),
+                        list(walk_tree(root, SILENT, client_id)))
 
 
 def call_lines(source: str, api: str, loose: bool = False, paper_faithful: bool = False) -> list[int]:

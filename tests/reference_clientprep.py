@@ -127,24 +127,20 @@ def prepare_client(
     if not root_path.is_dir():
         raise MissingRootError(f"client root does not exist: {root_path}")
 
-    rules: dict[str, str] = {}
-    excluded_dirs: set[str] = set()
+    excluded_dirs: dict[str, str] = {}  # path -> rule
 
     manifest = root_path / ".gitmodules"
     if manifest.is_file():
         for sub in parse_submodule_manifest(manifest.read_text(errors="replace"), diag):
-            rel = PurePosixPath(sub).as_posix().rstrip("/")
-            if not _inside_root(rel):
+            if not _inside_root(sub):  # the declared path, so "/" is outside too
                 if diag:
                     diag.emit("submodule_outside_root", client=client_id, path=sub)
                 continue
-            excluded_dirs.add(rel)
-            rules[rel] = "submodule"
+            excluded_dirs[PurePosixPath(sub).as_posix().rstrip("/")] = "submodule"
 
     for rel in detect_vendored_dirs(root_path, inv, threshold, min_lib_files):
         if rel not in excluded_dirs:
-            excluded_dirs.add(rel)
-            rules[rel] = "overlap"
+            excluded_dirs[rel] = "overlap"
 
     excluded_files: set[str] = set()
     if spec.explicit_file_excludes:
@@ -155,7 +151,6 @@ def prepare_client(
                 if fname in wanted:
                     rel = fname if rel_dir == "." else f"{rel_dir}/{fname}"
                     excluded_files.add(rel)
-                    rules[rel] = "explicit"
 
     if diag:
         diag.emit(
@@ -167,9 +162,9 @@ def prepare_client(
     return ClientRecord(
         client_id=client_id,
         root=str(root_path),
-        excluded_dirs=frozenset(excluded_dirs),
+        excluded_dirs=excluded_dirs,
         excluded_files=frozenset(excluded_files),
-        rules=rules,
+        listing=None,  # iter_client_sources here walks the tree itself
     )
 
 

@@ -15,8 +15,7 @@ from apimeter.coverage import annotate_catalog_coverage, coverage_delta, merge_t
 from apimeter.metrics import coverage_buckets, precision_recall, size_buckets, unused_apis
 from apimeter.scan import ScanOptions, UsageReport, aggregate_reports, blank_comments_and_strings, scan_client, scan_sources
 from synthcorpus import api_names, generate_client_tree
-from apimeter.clientprep import ClientRecord
-from conftest import GOLDEN, call_lines, make_catalog
+from conftest import GOLDEN, call_lines, client_record, make_catalog
 
 HUNDRED_CASES = settings(max_examples=100, deadline=None)
 
@@ -34,8 +33,8 @@ def test_golden_corpus_exactness(golden_spec, golden_catalog, oracle):
 
     for client, expected in oracle["clients"].items():
         rec = prepare_client(client, GOLDEN / "clients" / client, golden_spec, inv)
-        assert {d: rec.rules[d] for d in rec.excluded_dirs} == expected["excluded_dirs"]
-        assert {f: rec.rules[f] for f in rec.excluded_files} == expected["excluded_files"]
+        assert rec.excluded_dirs == expected["excluded_dirs"]
+        assert {f: "explicit" for f in rec.excluded_files} == expected["excluded_files"]
 
         report = scan_client(rec, golden_catalog)
         assert report.uses == expected["uses"]
@@ -326,8 +325,8 @@ def test_throughput_100k_lines_200_apis(tmp_path):
     catalog = make_catalog(apis)
     truth = generate_client_tree(tmp_path, apis, n_files=200, lines_per_file=500, seed=7)
 
-    rec = ClientRecord("bench", str(tmp_path), frozenset(), frozenset())
     started = time.monotonic()
+    rec = client_record(tmp_path, client_id="bench")  # the walk is timed, as prepare_client's is in a stage
     report = scan_client(rec, catalog, ScanOptions())
     elapsed = time.monotonic() - started
 

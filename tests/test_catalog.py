@@ -141,7 +141,7 @@ def _spec(tmp_path, so_names, header_text, name="lib"):
 def test_build_catalog_intersects(tmp_path):
     spec = _spec(tmp_path, ["f", "g", "internal_helper"], "void f(void);\nvoid g(void);\n")
     catalog = build_catalog(spec)
-    assert catalog.names() == {"f", "g"}
+    assert set(catalog.apis) == {"f", "g"}
 
 
 def test_build_catalog_unions_shared_objects(tmp_path):
@@ -154,7 +154,7 @@ def test_build_catalog_unions_shared_objects(tmp_path):
     (hdr / "api.h").write_text("void f(void);\nvoid g(void);\n")
     spec = LibrarySpec(name="lib", shared_objects=(str(so1), str(so2)), header_root=str(hdr))
     catalog = build_catalog(spec)
-    assert catalog.names() == {"f", "g"}
+    assert set(catalog.apis) == {"f", "g"}
     assert len(catalog.apis) == 2
 
 
@@ -173,14 +173,14 @@ def test_build_catalog_empty_intersection(tmp_path):
 
 def test_catalog_rebuild_is_idempotent(tmp_path):
     spec = _spec(tmp_path, ["f", "g"], "void f(void);\nvoid g(void);\n")
-    assert build_catalog(spec).names() == build_catalog(spec).names()
+    assert set(build_catalog(spec).apis) == set(build_catalog(spec).apis)
 
 
 def test_catalog_round_trip_and_schema(tmp_path, golden_catalog):
     path = tmp_path / "catalog.json"
     save_catalog(golden_catalog, path)
     loaded = load_catalog(path)
-    assert loaded.names() == golden_catalog.names()
+    assert set(loaded.apis) == set(golden_catalog.apis)
     assert loaded.library == golden_catalog.library
 
     doc = json.loads(path.read_text())
@@ -243,7 +243,7 @@ def test_catalog_round_trip_property(tmp_path_factory, entries):
 
 
 def test_golden_catalog_filters_internal_symbols(golden_catalog):
-    assert golden_catalog.names() == {
+    assert set(golden_catalog.apis) == {
         "tk_open",
         "tk_close",
         "tk_put",
@@ -252,6 +252,6 @@ def test_golden_catalog_filters_internal_symbols(golden_catalog):
         "tk_stat",
     }
     # exported but not in headers, local, and data symbols all dropped
-    assert "tk_internal_bump" not in golden_catalog.names()
-    assert "tk_hash_mix" not in golden_catalog.names()
-    assert "tk_format_version" not in golden_catalog.names()
+    assert "tk_internal_bump" not in golden_catalog.apis
+    assert "tk_hash_mix" not in golden_catalog.apis
+    assert "tk_format_version" not in golden_catalog.apis

@@ -7,6 +7,7 @@ from apimeter.clientprep import (
     LibraryInventory,
     build_library_inventory,
     parse_submodule_manifest,
+    prep_report_dict,
     prepare_client,
     select_vendored,
 )
@@ -97,15 +98,13 @@ def _golden_spec_local(so="unused.so"):
 def test_detect_on_golden_beta():
     inv = build_library_inventory([str(GOLDEN / "libsrc")])
     rec = prepare_client("beta", GOLDEN / "clients" / "beta", _golden_spec_local(), inv)
-    assert {p for p, rule in rec.rules.items() if rule == "overlap"} == {"vendor/tinykv"}
-    assert rec.excluded_dirs == frozenset({"vendor/tinykv"})
+    assert rec.excluded_dirs == {"vendor/tinykv": "overlap"}
 
 
 def test_detect_on_golden_gamma_75_pct_stays():
     inv = build_library_inventory([str(GOLDEN / "libsrc")])
     rec = prepare_client("gamma", GOLDEN / "clients" / "gamma", _golden_spec_local(), inv)
-    assert {p for p, rule in rec.rules.items() if rule == "overlap"} == set()
-    assert rec.excluded_dirs == frozenset()
+    assert rec.excluded_dirs == {}
 
 
 def test_prepare_client_missing_root(tmp_path):
@@ -117,24 +116,44 @@ def test_prepare_client_missing_root(tmp_path):
 def test_prepare_alpha_excludes_submodule():
     inv = build_library_inventory([str(GOLDEN / "libsrc")])
     rec = prepare_client("alpha", GOLDEN / "clients" / "alpha", _golden_spec_local(), inv)
-    assert rec.excluded_dirs == frozenset({"third_party/tinykv"})
-    assert rec.rules["third_party/tinykv"] == "submodule"
+    assert rec.excluded_dirs == {"third_party/tinykv": "submodule"}
     assert rec.excluded_files == frozenset()
 
 
 def test_prepare_beta_excludes_vendored_copy():
     inv = build_library_inventory([str(GOLDEN / "libsrc")])
     rec = prepare_client("beta", GOLDEN / "clients" / "beta", _golden_spec_local(), inv)
-    assert rec.excluded_dirs == frozenset({"vendor/tinykv"})
-    assert rec.rules["vendor/tinykv"] == "overlap"
+    assert rec.excluded_dirs == {"vendor/tinykv": "overlap"}
 
 
 def test_prepare_gamma_explicit_file_only():
     inv = build_library_inventory([str(GOLDEN / "libsrc")])
     rec = prepare_client("gamma", GOLDEN / "clients" / "gamma", _golden_spec_local(), inv)
-    assert rec.excluded_dirs == frozenset()
+    assert rec.excluded_dirs == {}
     assert rec.excluded_files == frozenset({"src/tinykv_amalg.c"})
-    assert rec.rules["src/tinykv_amalg.c"] == "explicit"
+    assert prep_report_dict(rec)["excluded_files"] == [{"path": "src/tinykv_amalg.c", "rule": "explicit"}]
+
+
+@pytest.mark.parametrize("declared, excluded", [
+    ("/", {}), ("//", {}), ("/abs/", {}),
+    ("third_party/", {"third_party": "submodule"}), ("./vendor/lk/src", {"vendor/lk/src": "submodule"}),
+])
+def test_declared_submodule_path(tmp_path, declared, excluded):
+    (tmp_path / ".gitmodules").write_text(f'[submodule "m"]\n\tpath = {declared}\n')
+    diag = Diagnostics()
+    rec = prepare_client("c", tmp_path, _golden_spec_local(), LibraryInventory(dirs={}), diag=diag)
+    assert rec.excluded_dirs == excluded
+    outside = [] if excluded else [{"event": "submodule_outside_root", "client": "c", "path": declared}]
+    assert [e for e in diag.events if e["event"] == "submodule_outside_root"] == outside
+
+
+def test_submodule_naming_an_explicit_file_keeps_both_rules(tmp_path):
+    (tmp_path / "tinykv_amalg.c").write_text("int x;\n")
+    (tmp_path / ".gitmodules").write_text('[submodule "m"]\n\tpath = tinykv_amalg.c\n')
+    rec = prepare_client("c", tmp_path, _golden_spec_local(), LibraryInventory(dirs={}))
+    report = prep_report_dict(rec)
+    assert report["excluded_dirs"] == [{"path": "tinykv_amalg.c", "rule": "submodule"}]
+    assert report["excluded_files"] == [{"path": "tinykv_amalg.c", "rule": "explicit"}]
 
 
 def test_pristine_client_no_exclusions(tmp_path):
@@ -142,7 +161,7 @@ def test_pristine_client_no_exclusions(tmp_path):
     (tmp_path / "src" / "app.c").write_text("int main(void) { return 0; }\n")
     inv = build_library_inventory([str(GOLDEN / "libsrc")])
     rec = prepare_client("clean", tmp_path, _golden_spec_local(), inv)
-    assert rec.excluded_dirs == frozenset()
+    assert rec.excluded_dirs == {}
     assert rec.excluded_files == frozenset()
 
 

@@ -3,8 +3,8 @@
 Hypothesis builds a library tree and a client tree on disk, then every step
 the CLI runs is compared with `reference_clientprep`: the library inventory,
 each `ClientRecord` with its rules and events, the `(relative path, text)`
-sequence `iter_client_sources` yields (from a prepared record and from a
-hand-built one), and the full event list of preparing and scanning one
+sequence `iter_client_sources` yields from a prepared record, and the full
+event list of preparing and scanning one
 client, order included. The trees hold `.gitmodules` submodules (some
 pointing outside the root), vendored copies nested in one another at, just
 above and just below the overlap threshold, explicitly excluded files inside
@@ -29,7 +29,7 @@ from apimeter import clientprep, scan
 from apimeter.catalog import LibrarySpec
 from apimeter.clientprep import ClientRecord, LibraryInventory
 from apimeter.diagnostics import Diagnostics
-from conftest import refuse_open
+from conftest import client_record, refuse_open
 
 EXPLICIT = "amalg.c"
 APIS = ("lk_open", "lk_close")
@@ -146,8 +146,6 @@ def test_prepare_and_walk_match_reference(tree, threshold, min_files, cap):
 
         want_walk = _walk(ref.iter_client_sources, want_rec, options)
         assert _walk(scan.iter_client_sources, got_rec, options) == want_walk
-        hand_built = ClientRecord("c1", str(client), want_rec.excluded_dirs, want_rec.excluded_files)
-        assert _walk(scan.iter_client_sources, hand_built, options) == want_walk
 
         want = _scan(ref.prepare_client, ref.iter_client_sources, client, spec, want_inv, threshold, min_files,
                      options)
@@ -164,7 +162,7 @@ def test_broken_symlink_error_text_matches_reference(tmp_path, monkeypatch, rela
     (tmp_path / "sub" / "gone.h").symlink_to("nowhere")
     if relative_root:
         monkeypatch.chdir(tmp_path)
-    rec = ClientRecord("c1", "." if relative_root else str(tmp_path), frozenset(), frozenset())
+    rec = client_record("." if relative_root else tmp_path, client_id="c1")
     want = _walk(ref.iter_client_sources, rec, scan.ScanOptions())
     assert [e["event"] for e in want[1]] == ["file_unreadable", "file_unreadable"]
     assert _walk(scan.iter_client_sources, rec, scan.ScanOptions()) == want
@@ -191,7 +189,7 @@ def test_read_path_matches_reference(tmp_path, monkeypatch, case, events):
         (tmp_path / f"{case}.c").write_bytes(files[case])
     (tmp_path / "ok.c").write_text("f(0);\n")
     cap = scan.DEFAULT_FILE_CAP_BYTES if case == "directory" else CAP
-    rec = ClientRecord("c1", str(tmp_path), frozenset(), frozenset())
+    rec = client_record(tmp_path, client_id="c1")
     if case.startswith("directory"):
         (tmp_path / "x.c").mkdir()
         rec = rec._replace(listing=[(".", [], ["ok.c", "x.c"], f"{tmp_path}/")])
@@ -210,7 +208,7 @@ def test_permission_denied_matches_reference(tmp_path, size, event):
     locked = tmp_path / "locked.c"
     locked.write_bytes(b"x" * size)
     locked.chmod(0)
-    rec = ClientRecord("c1", str(tmp_path), frozenset(), frozenset())
+    rec = client_record(tmp_path, client_id="c1")
     options = scan.ScanOptions(file_cap_bytes=CAP)
     want = _walk(ref.iter_client_sources, rec, options)
     assert [e["event"] for e in want[1]] == [event]

@@ -6,9 +6,9 @@ import os
 import pytest
 
 from apimeter import catalog, clientprep, coverage, reports, scan
-from apimeter.clientprep import ClientRecord, build_library_inventory
+from apimeter.clientprep import build_library_inventory
 from apimeter.diagnostics import SILENT, Diagnostics
-from conftest import GOLDEN, make_catalog, refuse_open
+from conftest import GOLDEN, client_record, make_catalog, refuse_open
 
 
 def test_streaming_sink_writes_each_event_and_keeps_none():
@@ -171,7 +171,7 @@ def _client_tree(tmp_path, monkeypatch):
                       ("sub/x.c", "c();\n"), ("locked.c", "d();\n")):
         (tmp_path / rel).write_text(text)
     refuse_open(monkeypatch, "locked.c")
-    rec = ClientRecord("c", str(tmp_path), frozenset({"sub"}), frozenset({"skip.c"}))
+    rec = client_record(tmp_path, {"sub": "overlap"}, {"skip.c"})
     error = f"[Errno 13] Permission denied: '{tmp_path / 'locked.c'}'"
     return rec, scan.ScanOptions(file_cap_bytes=20), [
         {"event": "dir_excluded", "client": "c", "path": "sub"},

@@ -151,11 +151,11 @@ def test_coverage_reads_a_fifo_tracefile_as_the_regular_file(tree):
 def test_unreadable_gitmodules_is_an_event(golden_spec, monkeypatch):
     inv = build_library_inventory([str(GOLDEN / "libsrc")])
     root = GOLDEN / "clients" / "alpha"
-    assert prepare_client("alpha", root, golden_spec, inv).rules == {"third_party/tinykv": "submodule"}
+    assert prepare_client("alpha", root, golden_spec, inv).excluded_dirs == {"third_party/tinykv": "submodule"}
     refuse_open(monkeypatch, ".gitmodules")
     diag = Diagnostics()
     rec = prepare_client("alpha", root, golden_spec, inv, diag=diag)
-    assert "submodule" not in rec.rules.values()
+    assert "submodule" not in rec.excluded_dirs.values()
     assert diag.events[0] == {
         "event": "file_unreadable",
         "client": "alpha",

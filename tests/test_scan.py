@@ -12,7 +12,7 @@ from apimeter.scan import (
     scan_sources,
     strip_comment_lines,
 )
-from conftest import GOLDEN, call_lines
+from conftest import GOLDEN, call_lines, client_record
 
 
 def test_strip_line_comment_preserves_columns():
@@ -138,7 +138,7 @@ def test_scan_golden_clients(client, golden_catalog, oracle):
 
 
 def test_scan_empty_client(tmp_path, golden_catalog):
-    rec = ClientRecord("empty", str(tmp_path), frozenset(), frozenset())
+    rec = client_record(tmp_path, client_id="empty")
     report = scan_client(rec, golden_catalog)
     assert report.uses == {}
     assert report.distinct_count == 0
@@ -149,7 +149,7 @@ def test_scan_uses_only_in_excluded_dir_count_zero(tmp_path, golden_catalog):
     vend = tmp_path / "vendored"
     vend.mkdir()
     (vend / "lib.c").write_text("int f(void) { return tk_open(0, 0); }\n")
-    rec = ClientRecord("shell", str(tmp_path), frozenset({"vendored"}), frozenset())
+    rec = client_record(tmp_path, {"vendored": "overlap"}, client_id="shell")
     assert scan_client(rec, golden_catalog).uses == {}
 
 
@@ -158,8 +158,8 @@ def test_exclusion_soundness_removes_exact_contribution(tmp_path, golden_catalog
     sub = tmp_path / "sub"
     sub.mkdir()
     (sub / "more.c").write_text("void b(void) { tk_open(0, 0); }\n")
-    everything = ClientRecord("c", str(tmp_path), frozenset(), frozenset())
-    pruned = ClientRecord("c", str(tmp_path), frozenset({"sub"}), frozenset())
+    everything = client_record(tmp_path)
+    pruned = client_record(tmp_path, {"sub": "overlap"})
     full = scan_client(everything, golden_catalog).uses
     partial = scan_client(pruned, golden_catalog).uses
     assert full == {"tk_open": 2, "tk_put": 1}
@@ -170,7 +170,7 @@ def test_file_cap_skips_oversized_files(tmp_path, golden_catalog):
     big = tmp_path / "big.c"
     big.write_text("tk_open(0, 0);\n" * 10)
     diag = Diagnostics()
-    rec = ClientRecord("c", str(tmp_path), frozenset(), frozenset())
+    rec = client_record(tmp_path)
     report = scan_client(rec, golden_catalog, ScanOptions(file_cap_bytes=10), diag)
     assert report.uses == {}
     assert diag.count("file_too_large") == 1
@@ -179,7 +179,7 @@ def test_file_cap_skips_oversized_files(tmp_path, golden_catalog):
 def test_non_source_extensions_ignored(tmp_path, golden_catalog):
     (tmp_path / "notes.txt").write_text("tk_open(0, 0);")
     (tmp_path / "prog.py").write_text("tk_open(0, 0)")
-    rec = ClientRecord("c", str(tmp_path), frozenset(), frozenset())
+    rec = client_record(tmp_path)
     assert scan_client(rec, golden_catalog).uses == {}
 
 
@@ -191,8 +191,8 @@ def test_scanned_clients_aggregate_and_flag_silent_clients(tmp_path, golden_cata
     silent.mkdir()
     (silent / "b.c").write_text("int x;\n")
     recs = [
-        ClientRecord("used", str(used), frozenset(), frozenset()),
-        ClientRecord("silent", str(silent), frozenset(), frozenset()),
+        client_record(used, client_id="used"),
+        client_record(silent, client_id="silent"),
     ]
     reports = [scan_client(rec, golden_catalog) for rec in recs]
     agg = aggregate_reports(golden_catalog.library, len(golden_catalog.apis), reports)
@@ -203,7 +203,7 @@ def test_scanned_clients_aggregate_and_flag_silent_clients(tmp_path, golden_cata
 
 def test_sites_listing(tmp_path, golden_catalog):
     (tmp_path / "a.c").write_text("void f(void) {\n    tk_open(0, 0);\n}\n")
-    rec = ClientRecord("c", str(tmp_path), frozenset(), frozenset())
+    rec = client_record(tmp_path)
     report = scan_client(rec, golden_catalog, ScanOptions(collect_sites=True))
     assert [(s.file, s.line, s.api) for s in report.sites] == [("a.c", 2, "tk_open")]
 
