@@ -13,12 +13,13 @@ lives in `scanstage`, which only that command imports.
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import re
 import stat
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 from . import artifacts
 from .artifacts import COUNT, Field, are_strings, checked
@@ -467,5 +468,21 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """The process entry (`python -m apimeter`, the `apimeter` script): `main()`, then the atexit
+    callbacks and a flush of stdout and stderr, then the exit without interpreter teardown, since
+    every artifact is closed by then. An exception out of `main()` (`SystemExit` for a usage error
+    or `--help` among them), or a flush that fails, leaves through the interpreter instead."""
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except Exception:  # say a closed pipe: the interpreter reports it and sets the status
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -171,10 +171,11 @@ def prepare_client(
             declared = ""
             diag.emit("file_unreadable", client=client_id, path=".gitmodules", error=str(exc))
         for sub in parse_submodule_manifest(declared, diag):
-            if sub.startswith("/") or ".." in sub.split("/"):  # "/" included
+            rel = PurePosixPath(sub).as_posix()  # drops "./" and trailing "/"
+            if rel == "." or rel.startswith("/") or ".." in rel.split("/"):  # the root, "/" and all above it
                 diag.emit("submodule_outside_root", client=client_id, path=sub)
                 continue
-            excluded_dirs[PurePosixPath(sub).as_posix()] = "submodule"  # drops "./" and trailing "/"
+            excluded_dirs[rel] = "submodule"
 
     listing = list(walk_tree(root_path, diag, client_id))
     for rel in select_vendored(_dir_names(listing), inv, threshold, min_lib_files):

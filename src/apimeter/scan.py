@@ -181,9 +181,11 @@ def iter_client_sources(
     """Yield scannable (relative path, text) of a prepared checkout, in walk order.
 
     Reads the listing `prepare_client` took. Excluded directories are pruned
-    and excluded files skipped as the listing reaches them, each with an event.
+    and excluded files skipped as the listing reaches them, each with an event;
+    an excluded root (the overlap rule can match it) with one for `.`.
     """
     if "." in rec.excluded_dirs:
+        diag.emit("dir_excluded", client=rec.client_id, path=".")
         return
     pruned: set[str] = set()
     for rel_dir, dirs, files, path in rec.listing:

@@ -110,7 +110,7 @@ def detect_vendored_dirs(
 
 def _inside_root(rel: str) -> bool:
     p = PurePosixPath(rel)
-    return not p.is_absolute() and ".." not in p.parts
+    return p.parts != () and not p.is_absolute() and ".." not in p.parts  # (): the root itself
 
 
 def prepare_client(
@@ -177,6 +177,8 @@ def iter_client_sources(
     root = Path(rec.root)
     skip_dirs = set(rec.excluded_dirs)
     if "." in skip_dirs:
+        if diag:
+            diag.emit("dir_excluded", client=rec.client_id, path=".")
         return
     for dirpath, dirnames, filenames in os.walk(root):
         rel_dir = Path(dirpath).relative_to(root).as_posix()

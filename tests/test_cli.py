@@ -279,6 +279,31 @@ def test_scan_reports_unreadable_dir_same_for_jobs(workspace, capsys, monkeypatc
     assert capsys.readouterr().err == serial
 
 
+def test_scan_reports_an_excluded_client_root_same_for_jobs(workspace, tmp_path, capsys):
+    # A client that is a whole copy of the library: the overlap rule excludes its root.
+    cfg, out = workspace
+    clients = tmp_path / "clients"
+    shutil.copytree(GOLDEN / "clients", clients)
+    shutil.copytree(GOLDEN / "libsrc", clients / "copy")
+    db = tmp_path / "db.json"
+    entries = json.loads((GOLDEN / "depdb.json").read_text())
+    db.write_text(json.dumps(entries + [{"client": "copy", "library": "tinykv"}]))
+    doc = json.loads(cfg.read_text())
+    cfg.write_text(json.dumps({**doc, "dependency_db": str(db), "clients_root": str(clients)}))
+    main(["catalog", "--config", str(cfg)])
+    capsys.readouterr()
+    assert main(["scan", "--config", str(cfg), "--library", "tinykv"]) == 0
+    serial = capsys.readouterr().err
+    events = [json.loads(line) for line in serial.splitlines()]
+    assert [e for e in events if e["event"] == "dir_excluded" and e["client"] == "copy"] == [
+        {"event": "dir_excluded", "client": "copy", "path": "."}
+    ]
+    assert json.loads((out / "prep_tinykv_copy.json").read_text())["excluded_dirs"] == [{"path": ".", "rule": "overlap"}]
+    assert json.loads((out / "usage_tinykv_copy.json").read_text())["uses"] == {}
+    assert main(["scan", "--config", str(cfg), "--library", "tinykv", "--jobs", "2"]) == 0
+    assert capsys.readouterr().err == serial
+
+
 @pytest.mark.parametrize("flags", [["--sites", "--loose-call-match"], ["--sites", "--paper-faithful"]],
                          ids=["loose", "paper_faithful"])
 def test_scan_jobs_parity_sites_loose(workspace, capsys, flags):
@@ -1627,3 +1652,108 @@ def test_corpus_artifact_round_trip(client_uses):
     assert [r.utilisation_pct for r in restored.reports] == [
         r.utilisation_pct for r in agg.reports
     ]
+
+
+# --- the process entry -----------------------------------------------------------
+# `python -m apimeter` ends through `cli.run`; each case below runs it and the entry it replaced in
+# fresh processes, stdout a pipe, and compares what a caller sees. Without PYTHONUNBUFFERED, stdout
+# is block-buffered, so a stage's summary line is still in the buffer when `main()` returns.
+
+_OLD_ENTRY = "import sys; from apimeter.cli import main; sys.exit(main())"
+_ENTRIES = {
+    "run": [sys.executable, "-m", "apimeter"],
+    "main": [sys.executable, "-c", _OLD_ENTRY],
+}
+
+
+def _entry_env(unbuffered: bool = False) -> dict[str, str]:
+    src = str(Path(apimeter.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "SOURCE_DATE_EPOCH": "1700000000"}
+    env.pop("PYTHONUNBUFFERED", None)
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+@pytest.fixture()
+def entry_dirs(workspace, tmp_path):
+    """One working directory per entry, each with the workspace config but the relative output
+    directory `out`, so the paths the stages print read the same from both."""
+    doc = {**json.loads(workspace[0].read_text()), "output_dir": "out"}
+    dirs = {name: tmp_path / name for name in _ENTRIES}
+    for d in dirs.values():
+        d.mkdir()
+        (d / "config.json").write_text(json.dumps(doc))
+    return dirs
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+_LIB = ["--config", "config.json", "--library", "tinykv"]
+_TRACE = str(GOLDEN / "tracefile_library.info")
+_ENTRY_CASES = [  # (argv, exit status)
+    (["catalog", "--config", "config.json"], 0),
+    (["scan", *_LIB], 0),
+    (["scan", *_LIB, "--jobs", "2", "--sites"], 0),
+    (["coverage", *_LIB, _TRACE], 0),
+    (["coverage", *_LIB, "--baseline", _TRACE, "--augmented", str(GOLDEN / "tracefile_augmented.info")], 0),
+    (["report", *_LIB], 0),
+    (["eval", "--output", "out/reports/tinykv",
+      "--tool", str(GOLDEN / "eval_tool.json"), "--oracle", str(GOLDEN / "eval_oracle.json")], 0),
+    (["scan", "--config", "config.json"], 2),  # usage error: no --library
+    (["--help"], 0),
+    (["scan", "--config", "config.json", "--library", "nosuch"], 1),  # ApimeterError: no catalog
+]
+
+
+def test_process_entry_matches_the_old_entry_on_every_stage(entry_dirs):
+    env = _entry_env()
+    for argv, status in _ENTRY_CASES:
+        seen = {}
+        for name, entry in _ENTRIES.items():
+            proc = subprocess.run(entry + argv, cwd=entry_dirs[name], env=env, capture_output=True, timeout=120)
+            seen[name] = proc.returncode, proc.stdout, proc.stderr, _files(entry_dirs[name])
+        assert seen["run"] == seen["main"], argv
+        assert seen["run"][0] == status, (argv, seen["run"][2])
+        assert seen["run"][1] or status != 0, argv  # each stage prints a summary, `--help` its usage
+    assert "report_eval.json" in _files(entry_dirs["run"] / "out" / "reports" / "tinykv")
+
+
+def test_process_entry_runs_atexit_callbacks_registered_before_it(entry_dirs):
+    # The callback prints without a flush: its line reaches the pipe only if the entry flushes after it.
+    register = "import atexit, sys; atexit.register(print, 'callback ran'); "
+    seen = {}
+    for name, code in (("run", "from apimeter.cli import run; run()"),
+                       ("main", "from apimeter.cli import main; sys.exit(main())")):
+        proc = subprocess.run([sys.executable, "-c", register + code, "catalog", "--config", "config.json"],
+                              cwd=entry_dirs[name], env=_entry_env(), capture_output=True, timeout=120)
+        seen[name] = proc.returncode, proc.stdout, proc.stderr
+    assert seen["run"] == seen["main"]
+    assert seen["run"][:2] == (0, b"tinykv: 6 APIs -> out/catalog_tinykv.json\ncallback ran\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["block_buffered", "unbuffered"])
+def test_process_entry_on_a_closed_stdout_pipe_matches_the_old_entry(entry_dirs, unbuffered):
+    seen = {}
+    for name, entry in _ENTRIES.items():
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the stage starts, so every write to its stdout fails
+        try:
+            proc = subprocess.run(entry + ["catalog", "--config", "config.json"], cwd=entry_dirs[name],
+                                  env=_entry_env(unbuffered), stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write_end)
+        seen[name] = proc.returncode, proc.stderr.decode(), _files(entry_dirs[name])
+    assert "out/catalog_tinykv.json" in seen["run"][2]
+    if unbuffered:
+        # The print in main() raises, so the error leaves main() as a traceback, whose frames name each entry.
+        assert seen["run"][0] == seen["main"][0] == 1
+        assert seen["run"][2] == seen["main"][2]
+        for _, err, _ in seen.values():
+            assert err.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+    else:
+        # The flush at exit fails, and the interpreter reports it and exits 120.
+        assert seen["run"] == seen["main"]
+        assert seen["run"][0] == 120
+        assert "Exception ignored in: <_io.TextIOWrapper name='<stdout>'" in seen["run"][1]

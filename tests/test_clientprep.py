@@ -13,7 +13,8 @@ from apimeter.clientprep import (
 )
 from apimeter.diagnostics import Diagnostics
 from apimeter.errors import MissingRootError
-from conftest import GOLDEN
+from apimeter.scan import scan_client
+from conftest import GOLDEN, make_catalog
 
 
 def test_manifest_single_submodule():
@@ -137,6 +138,7 @@ def test_prepare_gamma_explicit_file_only():
 @pytest.mark.parametrize("declared, excluded", [
     ("/", {}), ("//", {}), ("/abs/", {}),
     ("third_party/", {"third_party": "submodule"}), ("./vendor/lk/src", {"vendor/lk/src": "submodule"}),
+    (".", {}), ("./", {}), ("./.", {}),
 ])
 def test_declared_submodule_path(tmp_path, declared, excluded):
     (tmp_path / ".gitmodules").write_text(f'[submodule "m"]\n\tpath = {declared}\n')
@@ -145,6 +147,16 @@ def test_declared_submodule_path(tmp_path, declared, excluded):
     assert rec.excluded_dirs == excluded
     outside = [] if excluded else [{"event": "submodule_outside_root", "client": "c", "path": declared}]
     assert [e for e in diag.events if e["event"] == "submodule_outside_root"] == outside
+
+
+def test_submodule_naming_the_client_root_is_skipped_and_the_client_scanned(tmp_path):
+    (tmp_path / "a.c").write_text("int main(void) { return tk_open(0); }\n")
+    (tmp_path / ".gitmodules").write_text('[submodule "m"]\n\tpath = .\n')
+    diag = Diagnostics()
+    rec = prepare_client("c", tmp_path, _golden_spec_local(), LibraryInventory(dirs={}), diag=diag)
+    report = scan_client(rec, make_catalog(["tk_open"], "tinykv"), diag=diag)
+    assert report.uses == {"tk_open": 1}
+    assert {"event": "submodule_outside_root", "client": "c", "path": "."} in diag.events
 
 
 def test_submodule_naming_an_explicit_file_keeps_both_rules(tmp_path):

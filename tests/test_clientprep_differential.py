@@ -6,14 +6,14 @@ each `ClientRecord` with its rules and events, the `(relative path, text)`
 sequence `iter_client_sources` yields from a prepared record, and the full
 event list of preparing and scanning one
 client, order included. The trees hold `.gitmodules` submodules (some
-pointing outside the root), vendored copies nested in one another at, just
-above and just below the overlap threshold, explicitly excluded files inside
-excluded directories, empty directories and directories of non-source files,
-uppercase, dotfile and trailing-dot names, a symlinked directory and a
-broken file symlink. Fixed cases check the file read itself: a file at the
-size cap and one byte over, an empty file, invalid UTF-8, a directory listed
-as a file, a file over the cap that cannot be opened, and a file without
-read permission.
+pointing outside the root or naming it), vendored copies nested in one
+another at, just above and just below the overlap threshold, explicitly
+excluded files inside excluded directories, empty directories and
+directories of non-source files, uppercase, dotfile and trailing-dot
+names, a symlinked directory and a broken file symlink. Fixed cases check
+the file read itself: a file at the size cap and one byte over, an empty
+file, invalid UTF-8, a directory listed as a file, a file over the cap that
+cannot be opened, and a file without read permission.
 """
 
 import os
@@ -44,7 +44,7 @@ _CLIENT_NAMES = ["main.c", "app.C", "util.H", "x.cpp", "y.cc", "z.cxx", ".c", "f
 _TEXTS = ["int x;\n", "void f(void) { lk_open(0); }\n", "/* open\n lk_close(1);", "lk_open (1); // c\n",
           "const char *s = \"lk_close(2)\";\n", ""]
 _SUBMODULES = ["deps/x", "third_party/", "./vendor/lk/src", "../outside", "/abs", "/", "a/../b", "missing/dir",
-               "src/sub"]
+               "src/sub", ".", "./"]
 
 
 @st.composite
