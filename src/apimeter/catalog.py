@@ -318,14 +318,3 @@ def save_catalog(catalog: ApiCatalog, path: str | Path) -> Path:
 
 def load_catalog(path: str | Path) -> ApiCatalog:
     return artifacts.load_json(path, "catalog", catalog_from_dict)
-
-
-def with_annotation(
-    symbol: ApiSymbol,
-    defining_file: str,
-    entry_start: int,
-    entry_end: int,
-    eloc: int,
-    covered_lines: int,
-) -> ApiSymbol:
-    return ApiSymbol(symbol.name, defining_file, entry_start, entry_end, eloc, covered_lines)

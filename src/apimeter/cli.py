@@ -32,7 +32,7 @@ from .catalog import (
     load_catalog,
     save_catalog,
 )
-from .diagnostics import Diagnostics, stderr_diagnostics
+from .diagnostics import Diagnostics
 from .errors import (
     ApimeterError,
     ConfigError,
@@ -264,6 +264,11 @@ def cmd_coverage(config: RunConfig, args: argparse.Namespace, diag: Diagnostics)
     from . import coverage
 
     library, baseline, augmented = args.library, args.baseline, args.augmented
+    # Refuse bad arguments before any artifact is read or written.
+    if (baseline is None) != (augmented is None):
+        raise ConfigError("--baseline and --augmented must be given together")
+    if not args.tracefiles and baseline is None:
+        raise ConfigError("coverage needs tracefiles, or --baseline/--augmented")
     catalog = load_catalog(_stage_input(catalog_path(config, library), "catalog"))
 
     def parse_path(p: str) -> coverage.Tracefile:
@@ -287,9 +292,7 @@ def cmd_coverage(config: RunConfig, args: argparse.Namespace, diag: Diagnostics)
         print(f"{library}: coverage annotated for {measured}/{len(annotated.apis)} APIs")
         catalog = annotated
 
-    if baseline is not None or augmented is not None:
-        if baseline is None or augmented is None:
-            raise ConfigError("--baseline and --augmented must be given together")
+    if baseline is not None:
         try:
             delta = coverage.coverage_delta(parse_path(baseline), parse_path(augmented), catalog, diag)
         except FileSetMismatchError as exc:
@@ -302,8 +305,6 @@ def cmd_coverage(config: RunConfig, args: argparse.Namespace, diag: Diagnostics)
             f"{library}: +{delta['extra_total_coverage_pct']:.1f}pp total coverage, "
             f"{len(delta['newly_covered_apis'])} newly covered, {len(delta['improved_apis'])} improved"
         )
-    elif not args.tracefiles:
-        raise ConfigError("coverage needs tracefiles, or --baseline/--augmented")
     return 0
 
 
@@ -459,7 +460,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    diag = stderr_diagnostics()
+    diag = Diagnostics(sys.stderr)
     try:
         return args.run(_config_from_args(args), args, diag)
     except ApimeterError as exc:

@@ -15,7 +15,7 @@ from collections.abc import Container, Iterable, Sequence
 from itertools import compress
 from typing import NamedTuple
 
-from .catalog import ApiCatalog, ApiSymbol, with_annotation
+from .catalog import ApiCatalog, ApiSymbol
 from .diagnostics import SILENT, Diagnostics
 from .errors import FileSetMismatchError, MalformedDirectiveError
 
@@ -134,12 +134,17 @@ def parse_tracefile(content: str, diag: Diagnostics = SILENT) -> Tracefile:
             _add_record(content, match, records)
         line_number += content.count("\n", pos, end)
         pos = end
-    # Each file's lines were appended to lists as they came: sort them once, dropping repeats.
-    return Tracefile([fc._replace(lines=_sorted(fc.lines), hit_lines=_sorted(fc.hit_lines)) for fc in records.values()])
+    return _finished(records)
 
 
 def _sorted(lines: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(lines)))
+
+
+def _finished(records: dict[str, FileCoverage]) -> Tracefile:
+    """`records` as a Tracefile. Each file's lines and hit lines were appended to lists as
+    they came: here each list is sorted once, repeats dropped."""
+    return Tracefile([fc._replace(lines=_sorted(fc.lines), hit_lines=_sorted(fc.hit_lines)) for fc in records.values()])
 
 
 def _add_record(content: str, match: re.Match[str], records: dict[str, FileCoverage]) -> None:
@@ -301,7 +306,7 @@ def annotate_catalog_coverage(catalog: ApiCatalog, tf: Tracefile, diag: Diagnost
                 chosen=measured[0][0],
                 others=[m[0] for m in measured[1:]],
             )
-        annotated.apis[name] = with_annotation(annotated.apis[name], *measured[0])
+        annotated.apis[name] = ApiSymbol(name, *measured[0])
     return annotated
 
 
@@ -319,27 +324,20 @@ def filter_tracefile(tf: Tracefile, exclude_prefixes: list[str]) -> Tracefile:
 
 
 def merge_tracefiles(tracefiles: list[Tracefile]) -> Tracefile:
-    """Union files, and per file its lines, hit lines and function records.
-
-    parse_tracefile already merges repeated paths and functions, so a file's
-    first copy is taken as it is, and one tracefile comes back itself.
+    """Union files, and per file its lines, hit lines and function records, the
+    way parse_tracefile merges a path's repeated records. One tracefile comes back itself.
     """
     if len(tracefiles) == 1:
         return tracefiles[0]
     merged: dict[str, FileCoverage] = {}
     for tf in tracefiles:
         for fc in tf.records:
-            target = merged.get(fc.path)
-            if target is None:  # a file's first copy has nothing to add to
-                merged[fc.path] = fc._replace(functions=dict(fc.functions))
-                continue
+            target = merged.setdefault(fc.path, FileCoverage(fc.path, {}, [], []))
             for key, end in fc.functions.items():
                 _add_function(target.functions, key, end)
-            merged[fc.path] = target._replace(
-                lines=_sorted(target.lines + fc.lines),
-                hit_lines=_sorted(target.hit_lines + fc.hit_lines),
-            )
-    return Tracefile(records=list(merged.values()))
+            target.lines.extend(fc.lines)
+            target.hit_lines.extend(fc.hit_lines)
+    return _finished(merged)
 
 
 def select_median_run(runs: list[Tracefile]) -> Tracefile:

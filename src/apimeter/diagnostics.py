@@ -11,7 +11,6 @@ collects them, for a caller to replay or assert on.
 from __future__ import annotations
 
 import json
-import sys
 from typing import IO, Any
 
 
@@ -39,7 +38,3 @@ class _Silent(Diagnostics):
 
 
 SILENT: Diagnostics = _Silent()
-
-
-def stderr_diagnostics() -> Diagnostics:
-    return Diagnostics(stream=sys.stderr)

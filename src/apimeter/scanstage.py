@@ -41,25 +41,6 @@ def _scan_one(context: tuple, entry: DependencyEntry, root: Path) -> tuple[dict,
     return clientprep.prep_report_dict(rec), report, diag.events
 
 
-def _send_results(scan_one: Callable[..., tuple], jobs: list[tuple[DependencyEntry, Path]], write_fd: int) -> None:
-    """In a forked worker: scan `jobs` in order and write each `scan_one` result, or the
-    exception it raised, to `write_fd` as a length-prefixed pickle. An exception is the last."""
-    import pickle
-
-    with os.fdopen(write_fd, "wb") as out:
-        for entry, root in jobs:
-            try:
-                result = (True, scan_one(entry, root))
-            except Exception as exc:
-                result = (False, exc)
-            blob = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-            out.write(len(blob).to_bytes(8, "little"))
-            out.write(blob)
-            out.flush()
-            if not result[0]:
-                return
-
-
 def _scan_in_workers(
     scan_one: Callable[..., tuple],
     jobs: list[tuple[DependencyEntry, Path]],
@@ -67,9 +48,10 @@ def _scan_in_workers(
     keep: Callable[..., UsageReport],
 ) -> list[UsageReport]:
     """`keep(*result)` for each client's `scan_one` result, in client order, scanned by
-    `workers` processes forked here. Worker w scans clients w, w + workers, ... and sends
-    each result down its own pipe; it blocks while the pipe is full, so this process holds
-    at most one result per worker. A worker's exception is raised at its client's turn.
+    `workers` processes forked here. Worker w scans clients w, w + workers, ... and pickles
+    each result, or the exception that ends its share, down its own pipe; it blocks while
+    the pipe is full, so this process holds at most one result per worker. A worker's
+    exception is raised at its client's turn.
     Every worker is killed and reaped on the way out, whatever the way. Forking is safe
     because the stage starts no thread."""
     import pickle
@@ -94,7 +76,16 @@ def _scan_in_workers(
                     os.close(read_fd)
                     for _, pipe in children:
                         pipe.close()
-                    _send_results(scan_one, jobs[w::workers], write_fd)
+                    with os.fdopen(write_fd, "wb") as out:
+                        for entry, root in jobs[w::workers]:
+                            try:
+                                result = (True, scan_one(entry, root))
+                            except Exception as exc:
+                                result = (False, exc)
+                            pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
+                            out.flush()
+                            if not result[0]:
+                                break
                     status = 0
                 finally:
                     os._exit(status)
@@ -103,16 +94,15 @@ def _scan_in_workers(
         usage = []
         for i, (entry, _) in enumerate(jobs):
             pid, pipe = children[i % workers]
-            size = int.from_bytes(pipe.read(8), "little")
-            blob = pipe.read(size)
-            if not blob or len(blob) < size:
+            try:
+                ok, value = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
                 _, status = os.waitpid(pid, 0)
                 children.remove((pid, pipe))
                 pipe.close()
                 code = os.waitstatus_to_exitcode(status)
                 how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-                raise ScanWorkerError(f"scan worker for client {entry.client!r} ended without its result ({how})")
-            ok, value = pickle.loads(blob)
+                raise ScanWorkerError(f"scan worker for client {entry.client!r} ended without its result ({how})") from None
             if not ok:
                 raise value
             usage.append(keep(*value))

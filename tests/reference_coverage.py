@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from apimeter.catalog import ApiCatalog, ApiSymbol, with_annotation
+from apimeter.catalog import ApiCatalog, ApiSymbol
 from apimeter.diagnostics import Diagnostics
 from apimeter.errors import FileSetMismatchError, MalformedDirectiveError
 
@@ -238,7 +238,7 @@ def annotate_catalog_coverage(
                 others=[m[0] for m in measured[1:]],
             )
         path, start, end, eloc, covered = measured[0]
-        annotated.apis[name] = with_annotation(annotated.apis[name], path, start, end, eloc, covered)
+        annotated.apis[name] = ApiSymbol(name, path, start, end, eloc, covered)
     return annotated
 
 

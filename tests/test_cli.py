@@ -2,6 +2,7 @@ import contextlib
 import errno
 import json
 import os
+import pickle
 import re
 import shutil
 import signal
@@ -744,6 +745,70 @@ def test_scan_interrupted_leaves_no_worker(workspace, monkeypatch):
     _assert_no_child_left()
 
 
+def test_scan_jobs_parity_with_a_result_larger_than_a_pipe(workspace, tmp_path, capsys, monkeypatch):
+    # Eight clients, one of them with thousands of call sites: its pickled result outgrows a pipe
+    # buffer and a pickle frame (64 KiB each), so it crosses the pipe in several reads.
+    cfg, out = workspace
+    clients = tmp_path / "clients"
+    shutil.copytree(GOLDEN / "clients", clients)
+    for i in range(4):
+        (clients / f"small{i}").mkdir()
+        (clients / f"small{i}" / "main.c").write_text("int main(void) { return tk_close(0) + %d; }\n" % i)
+    (clients / "large").mkdir()
+    (clients / "large" / "calls.c").write_text("void f(void) {\n" + "    tk_put(h, k, v);\n" * 8000 + "}\n")
+    names = sorted(p.name for p in clients.iterdir())
+    _scan_with_clients(cfg, tmp_path, names, clients_root=clients)
+    sizes = {}
+    real = scanstage._scan_one
+
+    def scan_one(context, entry, root):
+        result = real(context, entry, root)
+        sizes[entry.client] = len(pickle.dumps((True, result), pickle.HIGHEST_PROTOCOL))
+        return result
+
+    monkeypatch.setattr(scanstage, "_scan_one", scan_one)
+    argv = ["scan", "--config", str(cfg), "--library", "tinykv", "--sites"]
+
+    def run(extra: list[str]) -> tuple[dict[str, bytes], str]:
+        for old in [*out.glob("prep_*"), *out.glob("usage_*")]:
+            old.unlink()
+        capsys.readouterr()
+        with _deadline(60):
+            assert main(argv + extra) == 0
+        artifacts = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        return artifacts, capsys.readouterr().err
+
+    serial = run([])
+    assert len(names) >= 6 and sizes["large"] > 64 * 1024
+    assert run(["--jobs", "2"]) == serial
+    assert run(["--jobs", "3"]) == serial
+    _assert_no_child_left()
+
+
+def test_scan_worker_result_that_cannot_be_pickled_names_the_client(workspace, capsys, monkeypatch):
+    # More than a pickle frame of beta's result reaches the pipe before the lambda stops the pickler.
+    cfg, out = workspace
+    main(["catalog", "--config", str(cfg)])
+    real = scanstage._scan_one
+
+    def scan_one(context, entry, root):
+        prep, report, events = real(context, entry, root)
+        if entry.client == "beta":
+            events = [*events, {"event": "bulk", "items": list(range(40000))}, {"event": "bad", "call": lambda: None}]
+        return prep, report, events
+
+    monkeypatch.setattr(scanstage, "_scan_one", scan_one)
+    capsys.readouterr()
+    with _deadline(60):
+        assert main(["scan", "--config", str(cfg), "--library", "tinykv", "--jobs", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "error: scan worker for client 'beta' ended without its result (exit status 1)" in err
+    assert "Traceback" not in err
+    assert (out / "usage_tinykv_alpha.json").is_file() and (out / "prep_tinykv_alpha.json").is_file()
+    assert not (out / "usage_tinykv_beta.json").exists()
+    _assert_no_child_left()
+
+
 def test_coverage_command_annotates(workspace, oracle):
     cfg, out = workspace
     main(["catalog", "--config", str(cfg)])
@@ -815,6 +880,58 @@ def test_coverage_baseline_augmented_writes_improvement(workspace, tmp_path, cap
     assert doc["newly_covered_apis"] == ["tk_open"]
     assert doc["new_api_lines_covered"] == 2
     assert capsys.readouterr().out == "tinykv: +66.7pp total coverage, 1 newly covered, 0 improved\n"
+
+
+def _fatal_config_error(capsys, argv: list[str], message: str) -> None:
+    """`main(argv)` exits 1 with `message` on stderr, as an error line and a `fatal` event, and no traceback."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}\n" in captured.err
+    assert "Traceback" not in captured.err
+    events = [json.loads(line) for line in captured.err.splitlines() if line.startswith("{")]
+    assert events[-1] == {"event": "fatal", "error": "ConfigError", "message": message}
+
+
+@pytest.mark.parametrize("with_tracefile", [False, True], ids=["pair_only", "with_tracefile"])
+@pytest.mark.parametrize("given", ["--baseline", "--augmented"])
+def test_coverage_one_sided_pair_is_refused_before_the_catalog_changes(workspace, capsys, given, with_tracefile):
+    cfg, out = workspace
+    assert main(["catalog", "--config", str(cfg)]) == 0
+    catalog = (out / "catalog_tinykv.json").read_bytes()
+    trace = str(GOLDEN / "tracefile_library.info")
+    capsys.readouterr()
+    argv = ["coverage", "--config", str(cfg), "--library", "tinykv", *([trace] if with_tracefile else []), given, trace]
+    _fatal_config_error(capsys, argv, "--baseline and --augmented must be given together")
+    assert (out / "catalog_tinykv.json").read_bytes() == catalog
+    assert not (out / "improvement_tinykv.json").exists()
+
+
+def test_coverage_without_tracefiles_is_refused_before_reading_the_catalog(workspace, capsys):
+    cfg, out = workspace
+    argv = ["coverage", "--config", str(cfg), "--library", "tinykv"]
+    _fatal_config_error(capsys, argv, "coverage needs tracefiles, or --baseline/--augmented")
+    assert not out.exists()
+
+
+def test_catalog_with_no_libraries_configured_is_an_error(workspace, capsys):
+    cfg, out = workspace
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "libraries": []}))
+    _fatal_config_error(capsys, ["catalog", "--config", str(cfg)], "no libraries configured")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("missing", ["dependency_db", "clients_root"])
+def test_scan_without_dependency_db_or_clients_root_is_an_error(workspace, capsys, missing):
+    cfg, out = workspace
+    assert main(["catalog", "--config", str(cfg)]) == 0
+    doc = json.loads(cfg.read_text())
+    del doc[missing]
+    cfg.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = ["scan", "--config", str(cfg), "--library", "tinykv"]
+    _fatal_config_error(capsys, argv, "scan requires dependency_db and clients_root in the configuration")
+    assert not list(out.glob("prep_*")) and not list(out.glob("usage_*"))
 
 
 @pytest.mark.parametrize(

@@ -109,6 +109,39 @@ def test_catalog_refuses_fifo_or_device_header(tree, kind):
     assert not (tmp / "out" / "catalog_tinykv.json").exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_skips_a_source_that_links_to_itself(tree, capsys, jobs):
+    # Asking whether such a link is a directory fails with ELOOP: the walk lists it as a file.
+    cfg, tmp = tree
+    client = tmp / "clients" / "cycle"
+    (client / "src").mkdir(parents=True)
+    (client / "a.c").write_text('int main(void) { return tk_open(0, "db"); }\n')
+    (client / "src" / "cycle.c").symlink_to("cycle.c")
+    db = tmp / "db.json"
+    db.write_text(json.dumps(json.loads((GOLDEN / "depdb.json").read_text()) + [{"client": "cycle", "library": "tinykv"}]))
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "dependency_db": str(db)}))
+    assert main(["catalog", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["scan", "--config", str(cfg), "--library", "tinykv", "--jobs", jobs]) == 0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    skipped = [e for e in _events(err) if e["event"] == "file_unreadable"]
+    assert [(e["client"], e["path"]) for e in skipped] == [("cycle", "src/cycle.c")]
+    assert "[Errno 40]" in skipped[0]["error"]
+    assert json.loads((tmp / "out" / "usage_tinykv_cycle.json").read_text())["uses"] == {"tk_open": 1}
+
+
+def test_catalog_refuses_a_header_that_links_to_itself(tree, capsys):
+    cfg, tmp = tree
+    header = tmp / "include" / "cycle.h"
+    header.symlink_to("cycle.h")
+    assert main(["catalog", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: cannot read header {header}: [Errno 40] " in err
+    assert not (tmp / "out" / "catalog_tinykv.json").exists()
+
+
 @pytest.mark.parametrize("named_as", ["tracefile", "config", "dependency_db"])
 def test_device_named_as_an_input_is_refused(tree, named_as):
     cfg, tmp = tree
