@@ -17,10 +17,9 @@ sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "tests"))  # the fixture ELF writer lives beside the tests
 
 from apimeter.cli import main as cli_main
-from elfsynth import data_object, function, local_function, write_shared_object
+from elfsynth import GOLDEN_SYMBOLS, write_shared_object
 
 GOLDEN = REPO / "tests" / "fixtures" / "golden"
-APIS = ["tk_open", "tk_close", "tk_put", "tk_get", "tk_delete", "tk_stat"]
 
 
 def main() -> int:
@@ -31,11 +30,7 @@ def main() -> int:
     out = Path(args.output).resolve()
     out.mkdir(parents=True, exist_ok=True)
 
-    so = write_shared_object(
-        out / "libtinykv.so",
-        [function(n) for n in APIS]
-        + [function("tk_internal_bump"), local_function("tk_hash_mix"), data_object("tk_format_version")],
-    )
+    so = write_shared_object(out / "libtinykv.so", GOLDEN_SYMBOLS)
 
     config = {
         "schema_version": "1.0",

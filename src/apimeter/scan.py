@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .catalog import DEFAULT_FILE_CAP_BYTES, ApiCatalog, is_source_name, read_text
@@ -29,12 +30,6 @@ from .usage import UsageReport, aggregate_reports  # noqa: F401
 # '//' or '/*' anywhere (inside a literal too), or if it starts with one
 # whitespace character other than a newline and then '*'.
 _LINE_DROP = re.compile(r"(?m)^(?:[^\n]*(?://|/\*)[^\n]*|[^\S\n]\*[^\n]*)$")
-
-
-class UseSite(NamedTuple):
-    file: str
-    line: int
-    api: str
 
 
 # --- comment / string lexing -------------------------------------------------
@@ -117,24 +112,21 @@ _LOOSE_CALL = re.compile(r"\([ \t\f\v\r\n]*([A-Za-z0-9_]*[A-Za-z_])[0-9]*(?![A-Z
 
 
 def _call_sites(
-    text: str, reversed_names: set[str] | frozenset[str], pattern: re.Pattern
-) -> list[tuple[str, int]]:
-    """(reversed api, line) of every call of a catalog API, in text order.
+    path: str, text: str, reversed_names: set[str] | frozenset[str], pattern: re.Pattern, sites: list
+) -> None:
+    """Append (path, line, api) to `sites` for every call of a catalog API, last call first.
 
     `text` must already be comment-stripped and string-masked;
     `reversed_names` holds each API name spelled backwards."""
     rev = text[::-1]
     line, counted = rev.count("\n") + 1, 0
-    found = []
     for m in pattern.finditer(rev):
         name = m.group(1)
         if name in reversed_names:
             end = m.end(1)
             line -= rev.count("\n", counted, end)
             counted = end
-            found.append((name, line))
-    found.reverse()
-    return found
+            sites.append((path, line, name[::-1]))
 
 
 class ScanOptions(NamedTuple):
@@ -149,28 +141,30 @@ def scan_sources(
     api_names: Iterable[str],
     options: ScanOptions = ScanOptions(),
     diag: Diagnostics = SILENT,
-) -> tuple[dict[str, int], list[UseSite]]:
-    """Count call sites over (relative path, text) pairs.
+) -> tuple[dict[str, int], list[tuple[str, int, str]]]:
+    """Count call sites over (relative path, text) pairs; with `collect_sites`, also list
+    each as a (file, line, api) row, sorted by file, then line, then API.
 
     Pure aggregation: the result does not depend on file order.
     """
     reversed_names = frozenset(name[::-1] for name in api_names)
     pattern = _LOOSE_CALL if options.loose_call_match else _CALL
     found: Counter[str] = Counter()  # keyed by reversed name
-    sites: list[UseSite] = []
+    sites: list[tuple[str, int, str]] = []
     for rel_path, text in files:
         if options.paper_faithful:
             text = strip_comment_lines(text)  # leaves no '/*', so no open block comment below
         if options.collect_sites:
-            for name, line in _call_sites(blank_comments_and_strings(text, diag), reversed_names, pattern):
-                found[name] += 1
-                sites.append(UseSite(rel_path, line, name[::-1]))
+            _call_sites(rel_path, blank_comments_and_strings(text, diag), reversed_names, pattern, sites)
         else:
             # Counts need no widths or newlines. Two spaces never let a strict match span a
             # token: the only one-character tokens are a lone quote before a newline or at the end.
             rev = "  ".join(_lex(text, diag)[::_STRIDE])[::-1]
             found.update(filter(reversed_names.__contains__, pattern.findall(rev)))
-    return {name[::-1]: n for name, n in found.items()}, sorted(sites)
+    if options.collect_sites:
+        sites.sort()
+        return dict(Counter(map(itemgetter(2), sites))), sites
+    return {name[::-1]: n for name, n in found.items()}, sites
 
 
 def iter_client_sources(

@@ -45,8 +45,8 @@ def _scan_in_workers(
     scan_one: Callable[..., tuple],
     jobs: list[tuple[DependencyEntry, Path]],
     workers: int,
-    keep: Callable[..., UsageReport],
-) -> list[UsageReport]:
+    keep: Callable[..., tuple[UsageReport, dict]],
+) -> list[tuple[UsageReport, dict]]:
     """`keep(*result)` for each client's `scan_one` result, in client order, scanned by
     `workers` processes forked here. Worker w scans clients w, w + workers, ... and pickles
     each result, or the exception that ends its share, down its own pipe; it blocks while
@@ -136,31 +136,33 @@ def run_scan(config: RunConfig, args: argparse.Namespace, diag: Diagnostics) -> 
 
     out_dir = Path(config.output_dir)
 
-    def keep(prep: dict, report: UsageReport, events: list[dict]) -> UsageReport:
+    def keep(prep: dict, report: UsageReport, events: list[dict]) -> tuple[UsageReport, dict]:
         """Replay one client's events and write its artifacts as its result arrives. Returns the
-        report without its sites, which is all the corpus needs."""
+        report without its sites and its usage dict, which is all the corpus needs."""
         for event in events:
             diag.emit(**event)
         stem = f"{_slug(library)}_{_slug(report.client_id)}"
+        usage = usage_report_dict(report)
         artifacts.write_json(out_dir / f"prep_{stem}.json", prep)
-        artifacts.write_json(out_dir / f"usage_{stem}.json", usage_report_dict(report))
+        artifacts.write_json(out_dir / f"usage_{stem}.json", usage)
         if report.sites is not None:
-            listing = "".join(f"{s.file}:{s.line}:{s.api}\n" for s in report.sites)
+            listing = "".join(f"{file}:{line}:{api}\n" for file, line, api in report.sites)
             artifacts.write_text(out_dir / f"usage_{stem}.sites.txt", listing)
-        return report._replace(sites=None)
+        return report._replace(sites=None), usage
 
     scan_one = functools.partial(_scan_one, (spec, inv, catalog, config, args.sites))
     # Every worker is forked at once with a fixed share of the clients, so never more than there are clients.
     workers = min(config.jobs, len(jobs))
     if workers > 1:
-        usage = _scan_in_workers(scan_one, jobs, workers, keep)
+        kept = _scan_in_workers(scan_one, jobs, workers, keep)
     else:
-        usage = [keep(*scan_one(entry, root)) for entry, root in jobs]
+        kept = [keep(*scan_one(entry, root)) for entry, root in jobs]
 
-    agg = aggregate_reports(library, len(catalog.apis), usage)
-    artifacts.write_json(corpus_path(config, library), corpus_dict(agg, skipped))
+    # Both in client order, as the jobs are: the corpus's clients are its reports' usage dicts.
+    agg = aggregate_reports(library, len(catalog.apis), [report for report, _ in kept])
+    artifacts.write_json(corpus_path(config, library), corpus_dict(agg, [usage for _, usage in kept], skipped))
     print(
-        f"{library}: scanned {len(usage)} clients"
+        f"{library}: scanned {len(kept)} clients"
         + (f", skipped {len(skipped)}" if skipped else "")
         + f" -> {corpus_path(config, library)}"
     )

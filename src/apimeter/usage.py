@@ -8,13 +8,10 @@ code to do it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import artifacts
 from .artifacts import COUNT, Field, checked, is_count
-
-if TYPE_CHECKING:
-    from .scan import UseSite
 
 
 class UsageReport(NamedTuple):
@@ -22,7 +19,7 @@ class UsageReport(NamedTuple):
     library: str
     uses: dict[str, int]
     catalog_size: int
-    sites: list[UseSite] | None = None
+    sites: list[tuple[str, int, str]] | None = None  # (file, line, api) rows, in listing order
 
     @property
     def distinct_count(self) -> int:
@@ -81,12 +78,13 @@ def usage_report_dict(report: UsageReport) -> dict:
     }
 
 
-def corpus_dict(agg: CorpusAggregate, skipped: list[str]) -> dict:
+def corpus_dict(agg: CorpusAggregate, clients: list[dict], skipped: list[str]) -> dict:
+    """The corpus artifact; `clients` are the usage dicts of `agg.reports`, in its order."""
     return {
         "schema_version": artifacts.SCHEMA_VERSION,
         "library": agg.library,
         "catalog_size": agg.catalog_size,
-        "clients": [usage_report_dict(r) for r in agg.reports],
+        "clients": clients,
         "api_client_counts": agg.api_client_counts,
         "api_total_uses": agg.api_total_uses,
         "clients_without_uses": sorted(agg.clients_without_uses),

@@ -13,21 +13,10 @@ from apimeter.scan import ScanOptions, scan_sources
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
 
-GOLDEN_APIS = ["tk_open", "tk_close", "tk_put", "tk_get", "tk_delete", "tk_stat"]
-
 
 def synth_golden_so(path: Path) -> Path:
-    """The golden library's shared object: 6 APIs plus symbols that must be
-    filtered out (internal export, local helper, data object)."""
-    return elfsynth.write_shared_object(
-        path,
-        [elfsynth.function(n) for n in GOLDEN_APIS]
-        + [
-            elfsynth.function("tk_internal_bump"),
-            elfsynth.local_function("tk_hash_mix"),
-            elfsynth.data_object("tk_format_version"),
-        ],
-    )
+    """The golden library's shared object (`elfsynth.GOLDEN_SYMBOLS`)."""
+    return elfsynth.write_shared_object(path, elfsynth.GOLDEN_SYMBOLS)
 
 
 @pytest.fixture(scope="session")
@@ -73,7 +62,7 @@ def call_lines(source: str, api: str, loose: bool = False, paper_faithful: bool 
     """Line of each call of `api` in one file's text, as the scanner's site listing reports it."""
     options = ScanOptions(loose_call_match=loose, paper_faithful=paper_faithful, collect_sites=True)
     _, sites = scan_sources([("f.c", source)], {api}, options)
-    return [site.line for site in sites]
+    return [line for _, line, _ in sites]
 
 
 def refuse_open(monkeypatch, name: str) -> None:

@@ -57,6 +57,15 @@ def data_object(name: str) -> SynthSymbol:
     return SynthSymbol(name, type=STT_OBJECT, section=SEC_DATA)
 
 
+# The golden library's shared object: its 6 APIs plus symbols that the catalog
+# must filter out (an internal export, a local helper, a data object).
+GOLDEN_SYMBOLS = [function(n) for n in ("tk_open", "tk_close", "tk_put", "tk_get", "tk_delete", "tk_stat")] + [
+    function("tk_internal_bump"),
+    local_function("tk_hash_mix"),
+    data_object("tk_format_version"),
+]
+
+
 class _StrTab:
     def __init__(self) -> None:
         self.blob = b"\x00"

@@ -15,7 +15,7 @@ import re
 from typing import Iterable, Iterator
 
 from apimeter.diagnostics import Diagnostics
-from apimeter.scan import ScanOptions, UseSite, blank_comments_and_strings
+from apimeter.scan import ScanOptions, blank_comments_and_strings
 from reference_lexer import strip_comment_lines
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -54,9 +54,9 @@ def scan_sources(
     api_names: frozenset[str] | set[str],
     options: ScanOptions = ScanOptions(),
     diag: Diagnostics | None = None,
-) -> tuple[dict[str, int], list[UseSite]]:
+) -> tuple[dict[str, int], list[tuple[str, int, str]]]:
     uses: dict[str, int] = {}
-    sites: list[UseSite] = []
+    sites: list[tuple[str, int, str]] = []  # (file, line, api)
     for rel_path, text in files:
         if options.paper_faithful:
             prepared = blank_comments_and_strings(strip_comment_lines(text))
@@ -65,5 +65,5 @@ def scan_sources(
         for api, line in match_calls(prepared, api_names, options.loose_call_match, options.collect_sites):
             uses[api] = uses.get(api, 0) + 1
             if options.collect_sites:
-                sites.append(UseSite(file=rel_path, line=line, api=api))
-    return uses, sorted(sites, key=lambda s: (s.file, s.line, s.api))
+                sites.append((rel_path, line, api))
+    return uses, sorted(sites)

@@ -488,6 +488,63 @@ def test_scan_sites_listing(workspace):
     assert "sites" not in json.loads((out / "usage_tinykv_alpha.json").read_text())
 
 
+def _with_client(cfg: Path, tmp_path: Path, client: str, files: dict[str, str]) -> None:
+    """Point the config at copies of the golden clients plus `client`, which holds `files`."""
+    clients = tmp_path / "clients"
+    shutil.copytree(GOLDEN / "clients", clients)
+    for rel, text in files.items():
+        (clients / client / rel).parent.mkdir(parents=True, exist_ok=True)
+        (clients / client / rel).write_text(text)
+    db = tmp_path / "db.json"
+    entries = json.loads((GOLDEN / "depdb.json").read_text())
+    db.write_text(json.dumps(entries + [{"client": client, "library": "tinykv"}]))
+    doc = json.loads(cfg.read_text())
+    cfg.write_text(json.dumps({**doc, "dependency_db": str(db), "clients_root": str(clients)}))
+
+
+def test_scan_sites_listing_order(workspace, tmp_path):
+    # Sorted by file, then line as a number (9 before 10), then API, whatever the text order.
+    cfg, out = workspace
+    _with_client(cfg, tmp_path, "order", {
+        "a.c": "\n" * 8 + "tk_close(h);\ntk_put(x); tk_open(y);\n",
+        "a.cc": "tk_get(k);\n",
+        "a/b.c": "tk_stat(s);\n",
+    })
+    main(["catalog", "--config", str(cfg)])
+    argv = ["scan", "--config", str(cfg), "--library", "tinykv"]
+
+    def usage_json() -> dict[str, bytes]:
+        return {p.name: p.read_bytes() for p in out.glob("usage_*.json")}
+
+    def listings() -> dict[str, bytes]:
+        found = {p.name: p.read_bytes() for p in out.glob("usage_*.sites.txt")}
+        for name in found:
+            (out / name).unlink()
+        return found
+
+    assert main(argv) == 0
+    counts = usage_json()
+    assert main(argv + ["--sites"]) == 0
+    assert usage_json() == counts
+    serial = listings()
+    assert serial["usage_tinykv_order.sites.txt"] == (
+        b"a.c:9:tk_close\na.c:10:tk_open\na.c:10:tk_put\na.cc:1:tk_get\na/b.c:1:tk_stat\n"
+    )
+    assert main(argv + ["--sites", "--jobs", "2"]) == 0
+    assert listings() == serial
+
+
+def test_scan_sites_listing_splits_a_path_that_holds_a_newline(workspace, tmp_path):
+    # README "Limitations": a newline in a path splits its row; a ':' is recovered by splitting from the right.
+    cfg, out = workspace
+    _with_client(cfg, tmp_path, "odd", {"a\nb.c": "tk_open(a);\n", "c:d.c": "tk_open(c);\n"})
+    main(["catalog", "--config", str(cfg)])
+    assert main(["scan", "--config", str(cfg), "--library", "tinykv", "--sites"]) == 0
+    listing = (out / "usage_tinykv_odd.sites.txt").read_text()
+    assert listing.splitlines() == ["a", "b.c:1:tk_open", "c:d.c:1:tk_open"]
+    assert listing.splitlines()[-1].rsplit(":", 2) == ["c:d.c", "1", "tk_open"]
+
+
 def _every_command(cfg: Path, out: Path) -> list[list[str]]:
     trace = str(GOLDEN / "tracefile_library.info")
     results = out / "eval_results.json"
@@ -1753,7 +1810,7 @@ def test_unknown_library_is_fatal(workspace, capsys):
     )
 )
 def test_corpus_artifact_round_trip(client_uses):
-    from apimeter.usage import corpus_dict, corpus_from_dict
+    from apimeter.usage import corpus_dict, corpus_from_dict, usage_report_dict
     from apimeter.scan import UsageReport, aggregate_reports
 
     reports = [
@@ -1761,7 +1818,7 @@ def test_corpus_artifact_round_trip(client_uses):
         for c, uses in client_uses.items()
     ]
     agg = aggregate_reports("lib", 3, reports)
-    restored = corpus_from_dict(corpus_dict(agg, skipped=[]))
+    restored = corpus_from_dict(corpus_dict(agg, [usage_report_dict(r) for r in agg.reports], skipped=[]))
     assert restored.api_client_counts == agg.api_client_counts
     assert restored.api_total_uses == agg.api_total_uses
     assert restored.clients_without_uses == agg.clients_without_uses

@@ -34,8 +34,8 @@ def _assert_same(text: str, names: frozenset[str] = NAMES) -> None:
             want_uses, want_sites = ref.scan_sources(files, names, options)
             assert got_uses == want_uses
             assert type(got_uses) is dict
-            assert sorted((s.api, s.line) for s in got_sites) == sorted(
-                (s.api, s.line) for s in want_sites
+            assert sorted((api, line) for _, line, api in got_sites) == sorted(
+                (api, line) for _, line, api in want_sites
             )
 
 

@@ -205,7 +205,7 @@ def test_sites_listing(tmp_path, golden_catalog):
     (tmp_path / "a.c").write_text("void f(void) {\n    tk_open(0, 0);\n}\n")
     rec = client_record(tmp_path)
     report = scan_client(rec, golden_catalog, ScanOptions(collect_sites=True))
-    assert [(s.file, s.line, s.api) for s in report.sites] == [("a.c", 2, "tk_open")]
+    assert report.sites == [("a.c", 2, "tk_open")]
 
 
 # --- properties ---------------------------------------------------------------
