@@ -2,9 +2,10 @@
 
 Finds call expressions of catalog APIs without preprocessing or parsing.
 One compiled tokenizer finds comments and string/char literals (raw
-strings included) in a single pass over each file and blanks them. Where
-sites are kept it keeps newlines and widths, so line numbers and columns
-survive; a counts-only scan puts two spaces in place of each. A use is a
+strings included) in a single pass over each file, and the matcher sees
+only the code between them, with two spaces in place of each. Where sites
+are kept each token's newlines follow its two spaces, so line numbers
+survive; no widths or columns are kept. A use is a
 token-boundary API name followed by at most one (non-newline) whitespace
 and an opening parenthesis; the matcher finds it from each '(' back to its
 identifier, in one regex pass over the reversed text. Uses inside macro
@@ -57,12 +58,6 @@ _TOKEN = re.compile(
 _STRIDE = _TOKEN.groups + 1
 
 
-def _spaces(token: str) -> str:
-    if "\n" not in token:
-        return " " * len(token)
-    return "\n".join(" " * len(line) for line in token.split("\n"))
-
-
 def _lex(source: str, diag: Diagnostics) -> list[str | None]:
     """Split `source` once: code, a token and its inner groups, code, and so on.
 
@@ -72,21 +67,6 @@ def _lex(source: str, diag: Diagnostics) -> list[str | None]:
     if last.startswith("/*") and (len(last) < 4 or not last.endswith("*/")):
         diag.emit("unterminated_block_comment", at_line=source.count("\n", 0, len(source) - len(last)) + 1)
     return parts
-
-
-def blank_comments_and_strings(source: str, diag: Diagnostics = SILENT) -> str:
-    """Blank every non-newline character of comments and string/char literals.
-
-    One pass of the tokenizer; line count and the columns of surviving code
-    are preserved. Comment markers inside literals are protected. An
-    unterminated block comment blanks through end of text and emits a
-    diagnostic.
-    """
-    parts = _lex(source, diag)
-    parts[1::_STRIDE] = map(_spaces, parts[1::_STRIDE])
-    for group in range(2, _STRIDE):  # an inner group, such as a raw string's delimiter, is in its token
-        parts[group::_STRIDE] = [""] * (len(parts) // _STRIDE)
-    return "".join(parts)
 
 
 def strip_comment_lines(source: str) -> str:
@@ -154,12 +134,18 @@ def scan_sources(
     for rel_path, text in files:
         if options.paper_faithful:
             text = strip_comment_lines(text)  # leaves no '/*', so no open block comment below
+        # Two spaces stand for each token, so a strict match never spans one: the only
+        # one-character tokens are a lone quote before a newline or at the end.
+        parts = _lex(text, diag)
+        code = parts[::_STRIDE]
         if options.collect_sites:
-            _call_sites(rel_path, blank_comments_and_strings(text, diag), reversed_names, pattern, sites)
+            # Each token's newlines follow its two spaces, so every code line keeps its number.
+            for i, token in enumerate(parts[1::_STRIDE], 1):
+                if "\n" in token:
+                    code[i] = "\n" * token.count("\n") + code[i]
+            _call_sites(rel_path, "  ".join(code), reversed_names, pattern, sites)
         else:
-            # Counts need no widths or newlines. Two spaces never let a strict match span a
-            # token: the only one-character tokens are a lone quote before a newline or at the end.
-            rev = "  ".join(_lex(text, diag)[::_STRIDE])[::-1]
+            rev = "  ".join(code)[::-1]
             found.update(filter(reversed_names.__contains__, pattern.findall(rev)))
     if options.collect_sites:
         sites.sort()

@@ -79,7 +79,10 @@ def usage_report_dict(report: UsageReport) -> dict:
 
 
 def corpus_dict(agg: CorpusAggregate, clients: list[dict], skipped: list[str]) -> dict:
-    """The corpus artifact; `clients` are the usage dicts of `agg.reports`, in its order."""
+    """The corpus artifact; `clients` are the usage dicts of `agg.reports`, in its order.
+
+    `agg.clients_without_uses` is in client order, as `aggregate_reports` builds it, and
+    `skipped` must be too."""
     return {
         "schema_version": artifacts.SCHEMA_VERSION,
         "library": agg.library,
@@ -87,8 +90,8 @@ def corpus_dict(agg: CorpusAggregate, clients: list[dict], skipped: list[str]) -
         "clients": clients,
         "api_client_counts": agg.api_client_counts,
         "api_total_uses": agg.api_total_uses,
-        "clients_without_uses": sorted(agg.clients_without_uses),
-        "skipped_clients": sorted(skipped),
+        "clients_without_uses": agg.clients_without_uses,
+        "skipped_clients": skipped,
     }
 
 

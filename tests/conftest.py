@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ import elfsynth
 from apimeter.catalog import ApiCatalog, LibrarySpec, build_catalog, walk_tree
 from apimeter.clientprep import ClientRecord
 from apimeter.diagnostics import SILENT
-from apimeter.scan import ScanOptions, scan_sources
+from apimeter.scan import _STRIDE, ScanOptions, _lex, scan_sources
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -56,6 +57,14 @@ def client_record(root, excluded_dirs=None, excluded_files=(), client_id="c") ->
     listed now as `prepare_client` lists it; build the tree first."""
     return ClientRecord(client_id, str(root), dict(excluded_dirs or {}), frozenset(excluded_files),
                         list(walk_tree(root, SILENT, client_id)))
+
+
+def blank_tokens(source: str, diag=SILENT) -> str:
+    """`source` with every non-newline character of its comments and literals blanked: `scan._lex`'s
+    code parts, and its tokens width for width. This is the view the frozen reference lexer gives."""
+    parts = _lex(source, diag)
+    return "".join(part if i % _STRIDE == 0 else re.sub(r"[^\n]", " ", part)
+                   for i, part in enumerate(parts) if i % _STRIDE < 2)
 
 
 def call_lines(source: str, api: str, loose: bool = False, paper_faithful: bool = False) -> list[int]:

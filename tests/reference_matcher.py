@@ -2,11 +2,13 @@
 
 This is the matcher `apimeter.scan` used before it moved to one compiled
 pattern run from each '(' over the reversed text. `scan_sources` is the
-scanner's aggregation loop of that time, on top of the scanner's
-`blank_comments_and_strings` and the frozen per-line `strip_comment_lines`
-of `reference_lexer`. Both are kept only so the differential tests can
-check the matcher against them; nothing outside `tests/` imports this
-module.
+scanner's aggregation loop of that time. It prepares each text with the
+frozen per-character lexer of `reference_lexer` alone (comments stripped,
+then strings masked, width for width, after the per-line
+`strip_comment_lines` on the `paper_faithful` path), so no live lexer code
+runs under the matcher gate. The matcher and the loop are kept only so the
+differential tests can check the scanner against them; nothing outside
+`tests/` imports this module.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import re
 from typing import Iterable, Iterator
 
 from apimeter.diagnostics import Diagnostics
-from apimeter.scan import ScanOptions, blank_comments_and_strings
-from reference_lexer import strip_comment_lines
+from apimeter.scan import ScanOptions
+from reference_lexer import mask_string_literals, strip_comment_lines, strip_comments
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # One optional whitespace between name and '(' — never a newline, matching
@@ -59,9 +61,9 @@ def scan_sources(
     sites: list[tuple[str, int, str]] = []  # (file, line, api)
     for rel_path, text in files:
         if options.paper_faithful:
-            prepared = blank_comments_and_strings(strip_comment_lines(text))
+            prepared = mask_string_literals(strip_comments(strip_comment_lines(text)))
         else:
-            prepared = blank_comments_and_strings(text, diag)
+            prepared = mask_string_literals(strip_comments(text, diag))
         for api, line in match_calls(prepared, api_names, options.loose_call_match, options.collect_sites):
             uses[api] = uses.get(api, 0) + 1
             if options.collect_sites:

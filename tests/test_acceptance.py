@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion alongside the pytest verdicts.
 """
 
+import re
 import time
 
 import pytest
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 from apimeter.clientprep import LibraryInventory, build_library_inventory, prepare_client, select_vendored
 from apimeter.coverage import annotate_catalog_coverage, coverage_delta, merge_tracefiles, parse_tracefile
 from apimeter.metrics import coverage_buckets, precision_recall, size_buckets, unused_apis
-from apimeter.scan import ScanOptions, UsageReport, aggregate_reports, blank_comments_and_strings, scan_client, scan_sources
+from apimeter.scan import ScanOptions, UsageReport, aggregate_reports, scan_client, scan_sources
 from synthcorpus import api_names, generate_client_tree
-from conftest import GOLDEN, call_lines, client_record, make_catalog
+from conftest import GOLDEN, blank_tokens, call_lines, client_record, make_catalog
 
 HUNDRED_CASES = settings(max_examples=100, deadline=None)
 
@@ -193,7 +194,11 @@ _fragments = st.lists(
 @given(_fragments)
 def test_property_strip_comments_preserves_line_count(fragments):
     src = "".join(fragments)
-    assert blank_comments_and_strings(src).count("\n") == src.count("\n")
+    blanked = blank_tokens(src)
+    assert blanked.count("\n") == src.count("\n")
+    # The site listing names the line each surviving call has in the width-preserving view.
+    assert call_lines(src, "tk_open") == [blanked.count("\n", 0, m.start()) + 1
+                                          for m in re.finditer(r"\btk_open\(", blanked)]
 
 
 @HUNDRED_CASES

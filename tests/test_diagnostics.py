@@ -41,7 +41,6 @@ SINK_TAKERS = [
     coverage.annotate_catalog_coverage,
     coverage.coverage_delta,
     reports.emit_reports,
-    scan.blank_comments_and_strings,
     scan.scan_sources,
     scan.iter_client_sources,
     scan.scan_client,
@@ -154,14 +153,11 @@ def _reports(tmp_path, **_):
 _OPEN_COMMENT = "a();\n/* oops\nb();"
 
 
-def _blank(**_):
-    return (lambda *d: scan.blank_comments_and_strings(_OPEN_COMMENT, *d),
-            [{"event": "unterminated_block_comment", "at_line": 2}])
-
-
 def _sources(**_):
-    return (lambda *d: scan.scan_sources([("f.c", _OPEN_COMMENT)], {"a", "b"}, scan.ScanOptions(), *d),
-            [{"event": "unterminated_block_comment", "at_line": 2}])
+    # The counts path, then the sites path: each lexes the file once.
+    files, paths = [("f.c", _OPEN_COMMENT)], [scan.ScanOptions(), scan.ScanOptions(collect_sites=True)]
+    return (lambda *d: [scan.scan_sources(files, {"a", "b"}, options, *d) for options in paths],
+            [{"event": "unterminated_block_comment", "at_line": 2}] * 2)
 
 
 def _client_tree(tmp_path, monkeypatch):
@@ -202,7 +198,6 @@ CASES = {
     "annotate_catalog_coverage": _annotate,
     "coverage_delta": _delta,
     "emit_reports": _reports,
-    "blank_comments_and_strings": _blank,
     "scan_sources": _sources,
     "iter_client_sources": _iter_sources,
     "scan_client": _scan_client,

@@ -1,14 +1,16 @@
 """The scanner's one-pass tokenizer against the frozen per-character lexer.
 
-`blank_comments_and_strings` is compared on two texts. On
-`strip_comment_lines` output, the text the `paper_faithful` path lexes,
-no comment survives, so it must equal the reference's
-`mask_string_literals`. On the whole text it must equal stripping comments
-and then masking strings in the stripped text, diagnostics included. Both
-blankings come from one tokenizer split of each file: under `collect_sites`
-the scanner widens each token to spaces and newlines as here; its counts
-path joins the code parts with two spaces, and `test_matcher_differential.py`
-compares that path's uses and events with the reference.
+`scan._lex` splits each file into code parts and tokens (comments and
+literals) once. `conftest.blank_tokens` joins those parts back with each
+token blanked width for width, the view the reference gives, and is
+compared on two texts. On `strip_comment_lines` output, the text the
+`paper_faithful` path lexes, no comment survives, so it must equal the
+reference's `mask_string_literals`. On the whole text it must equal
+stripping comments and then masking strings in the stripped text,
+diagnostics included. The scanner itself keeps no widths: it joins the
+code parts with two spaces, followed under `collect_sites` by each token's
+newlines, and `test_matcher_differential.py` compares its uses, sites and
+events with the reference.
 """
 
 import pytest
@@ -17,16 +19,17 @@ from hypothesis import strategies as st
 
 import reference_lexer as ref
 from apimeter.diagnostics import Diagnostics
-from apimeter.scan import blank_comments_and_strings, strip_comment_lines
+from apimeter.scan import strip_comment_lines
+from conftest import blank_tokens
 
 
 def _assert_same(src: str) -> None:
     lines_kept = strip_comment_lines(src)
-    assert blank_comments_and_strings(lines_kept) == ref.mask_string_literals(lines_kept)
+    assert blank_tokens(lines_kept) == ref.mask_string_literals(lines_kept)
 
     want_diag, got_diag = Diagnostics(), Diagnostics()
     want = ref.mask_string_literals(ref.strip_comments(src, want_diag))
-    assert blank_comments_and_strings(src, got_diag) == want
+    assert blank_tokens(src, got_diag) == want
     assert got_diag.events == want_diag.events
 
 

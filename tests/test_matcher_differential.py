@@ -6,7 +6,7 @@ leaves them as they are and the matcher sees them unchanged. Uses and the sorted
 and loose mode, with lines (`collect_sites`) and without; whole-file scans
 are compared in the default, `paper_faithful` and `collect_sites` modes.
 The counts-path tests at the end generate texts full of comments and
-literals, and compare uses and events without lines.
+literals, and compare uses, sites and events in strict and loose mode.
 """
 
 from pathlib import Path
@@ -156,20 +156,25 @@ def test_scan_sources_modes_match_reference(options, extra):
     assert got_diag.events == want_diag.events
 
 
-# The counts path (neither `collect_sites` nor `paper_faithful`) need not keep each blanked token's
-# width or newlines. These texts hold comments and literals, so its uses, strict and loose, and its
-# `unterminated_block_comment` events are compared with the reference, which blanks width for width.
+# The scanner puts two spaces in place of each comment or literal, and on the sites path that token's
+# newlines after them. These texts hold comments and literals, so its uses, its sorted (api, line)
+# sites, strict and loose, and its `unterminated_block_comment` events are compared with the
+# reference, whose frozen lexer blanks width for width.
 
 
 def _assert_counts_same(text: str) -> None:
     files = [("f.c", text)]
     for loose in (False, True):
-        options = ScanOptions(loose_call_match=loose)
-        got_diag, want_diag = Diagnostics(), Diagnostics()
-        got_uses, _ = scan_sources(files, NAMES, options, got_diag)
-        want_uses, _ = ref.scan_sources(files, NAMES, options, want_diag)
-        assert got_uses == want_uses
-        assert got_diag.events == want_diag.events
+        for with_lines in (False, True):
+            options = ScanOptions(loose_call_match=loose, collect_sites=with_lines)
+            got_diag, want_diag = Diagnostics(), Diagnostics()
+            got_uses, got_sites = scan_sources(files, NAMES, options, got_diag)
+            want_uses, want_sites = ref.scan_sources(files, NAMES, options, want_diag)
+            assert got_uses == want_uses
+            assert sorted((api, line) for _, line, api in got_sites) == sorted(
+                (api, line) for _, line, api in want_sites
+            )
+            assert got_diag.events == want_diag.events
 
 
 COUNTS_EDGE_CASES = [
@@ -220,6 +225,12 @@ COUNTS_EDGE_CASES = [
     "tk_open\"\"(a);",
     "tk_open''(a);",
     'tk_open R"(x)" (a); R"d(tk_close(b))d" tk_close(c);',
+    # a call after a token that holds newlines keeps its line
+    "/* one\ntwo\nthree */\ntk_open(a);\n tk_close(b);",
+    'x = R"d(one\ntk_close(no)\n)d";\ntk_open(a); tk_close(b);',
+    "// x \\\ntk_close(no);\ntk_open(a);",
+    "tk_open /* a\nb */ (x);\ntk_close(c);",
+    "/* one\r\ntwo\r\n*/\r\ntk_open(a);\r\ntk_close(b);",
 ]
 
 

@@ -7,43 +7,42 @@ from apimeter.diagnostics import Diagnostics
 from apimeter.scan import (
     ScanOptions,
     aggregate_reports,
-    blank_comments_and_strings,
     scan_client,
     scan_sources,
     strip_comment_lines,
 )
-from conftest import GOLDEN, call_lines, client_record
+from conftest import GOLDEN, blank_tokens, call_lines, client_record
 
 
 def test_strip_line_comment_preserves_columns():
-    assert blank_comments_and_strings("f(); // call") == "f();        "
+    assert blank_tokens("f(); // call") == "f();        "
 
 
 def test_strip_block_comment_preserves_columns():
-    assert blank_comments_and_strings("/* f() */ g();") == "          g();"
+    assert blank_tokens("/* f() */ g();") == "          g();"
 
 
 def test_strip_protects_string_contents():
     literal = '"// not a comment"'
-    assert blank_comments_and_strings(f"s = {literal}; f();") == f"s = {' ' * len(literal)}; f();"
+    assert blank_tokens(f"s = {literal}; f();") == f"s = {' ' * len(literal)}; f();"
 
 
 def test_strip_multiline_block():
     src = "a();\n/* one\ntwo\nthree */\nb();"
-    out = blank_comments_and_strings(src)
+    out = blank_tokens(src)
     assert out.splitlines() == ["a();", "      ", "   ", "        ", "b();"]
     assert len(out) == len(src)
 
 
 def test_strip_unterminated_block_blanks_to_eof():
     diag = Diagnostics()
-    out = blank_comments_and_strings("a();\n/* oops\nb();", diag)
+    out = blank_tokens("a();\n/* oops\nb();", diag)
     assert out.splitlines() == ["a();", "       ", "    "]
     assert diag.count("unterminated_block_comment") == 1
 
 
 def test_strip_line_comment_continuation():
-    out = blank_comments_and_strings("// first \\\nstill comment\nf();")
+    out = blank_tokens("// first \\\nstill comment\nf();")
     assert out.splitlines() == ["          ", "             ", "f();"]
 
 
@@ -72,6 +71,9 @@ def test_find_single_whitespace_gap_only():
 def test_find_loose_mode_spans_whitespace():
     assert call_lines("tk_stat  (h);", "tk_stat", loose=True) == [1]
     assert call_lines("tk_stat\n   (h);", "tk_stat", loose=True) == [1]
+    # a comment in the gap counts as whitespace, and the line is the identifier's
+    assert call_lines("x;\ntk_stat /* a\nb */ (h);", "tk_stat", loose=True) == [2]
+    assert call_lines("x;\ntk_stat /* a\nb */ (h);", "tk_stat") == []
 
 
 def test_find_ignores_function_pointer_mention():
@@ -235,7 +237,7 @@ _fragments = st.lists(
 @given(_fragments)
 def test_strip_comments_preserves_line_count(fragments):
     src = "".join(fragments)
-    assert blank_comments_and_strings(src).count("\n") == src.count("\n")
+    assert blank_tokens(src).count("\n") == src.count("\n")
 
 
 @given(_fragments)
